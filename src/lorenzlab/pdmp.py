@@ -31,6 +31,7 @@ from .section import (
 
 _DEFAULT_BURN_IN = 1000
 _STEP_CAP_TIME = 0.1  # conservative lower bound on a sojourn, for sizing
+_MAX_MIN_CROSSINGS = 32  # conjugation probes stay inside the look-ahead
 
 
 def _observe(f, ys: np.ndarray) -> np.ndarray:
@@ -55,40 +56,45 @@ class PdmpState:
     sigma0: float
 
 
+def _trapezoid_terms(f, t: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Trapezoid terms of f between consecutive samples of one flat grid."""
+    fv = _observe(f, ys)
+    return np.diff(t) * (fv[1:] + fv[:-1]) * 0.5
+
+
+def _sojourn_integrals(f, trace: MarkovRenewalTrace, start: int) -> np.ndarray:
+    """Trapezoid integral of f along each stored sojourn from start on."""
+    off = trace.sojourn_offsets[start:]
+    terms = _trapezoid_terms(f, trace.flow_t[off[0]:], trace.flow_y[off[0]:])
+    off = off - off[0]
+    terms[off[1:-1] - 1] = 0.0  # from the end of one sojourn to the next
+    return np.add.reduceat(terms, off[:-1])
+
+
 @dataclass
 class PdmpTrajectory:
     """Dense trajectory of the resampled flow together with its chain.
 
-    The trace holds the embedded chain; segments carry the sampled flow
-    between crossings. Queries at intermediate times interpolate linearly
-    on the stored grid (default spacing 1e-2 time units).
+    A view of the trace's stored flow: the states are the trace's flat
+    flow_y, and the absolute times are flow_t plus each piece's start
+    time. Queries at intermediate times interpolate linearly on the stored
+    grid (default spacing 1e-2 time units).
     """
 
     trace: MarkovRenewalTrace
     t_final: float
     _ts: np.ndarray = field(init=False, repr=False)
-    _ys: np.ndarray = field(init=False, repr=False)
-    _etas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.trace.segments is None:
+        tr = self.trace
+        if tr.flow_t is None:
             raise DomainError("trajectory needs a trace with stored segments")
-        horizon = self.trace.sigma[-1] + self.trace.tau[-1]
+        horizon = tr.sigma[-1] + tr.tau[-1]
         if not 0.0 < self.t_final <= horizon + 1e-12:
             raise DomainError("t_final must lie within the simulated horizon")
-        ts, ys, etas = [], [], []
-        if self.trace.approach is not None:
-            ts.append(self.trace.approach.t)
-            ys.append(self.trace.approach.y)
-            etas.append(np.full(len(self.trace.approach.t),
-                                self.trace.approach.eta))
-        for k, seg in enumerate(self.trace.segments):
-            ts.append(seg.t + self.trace.sigma[k])
-            ys.append(seg.y)
-            etas.append(np.full(len(seg.t), seg.eta))
-        self._ts = np.concatenate(ts)
-        self._ys = np.concatenate(ys)
-        self._etas = np.concatenate(etas)
+        starts = tr.sigma if tr.approach_eta is None else \
+            np.append(0.0, tr.sigma)
+        self._ts = tr.flow_t + np.repeat(starts, np.diff(tr.flow_offsets))
 
     @property
     def crossing_times(self) -> np.ndarray:
@@ -101,13 +107,13 @@ class PdmpTrajectory:
         return self.trace.sigma0
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._ts, self._ys
+        return self._ts, self.trace.flow_y
 
     def state(self, t: float) -> np.ndarray:
         t = float(t)
         if not 0.0 <= t <= self._ts[-1]:
             raise DomainError(f"t={t} outside the simulated range")
-        return np.array([np.interp(t, self._ts, self._ys[:, i])
+        return np.array([np.interp(t, self._ts, self.trace.flow_y[:, i])
                          for i in range(3)])
 
     def n_crossings(self, t: float) -> int:
@@ -125,8 +131,10 @@ class PdmpTrajectory:
         return float(t) if n < 0 else float(t - self.crossing_times[n])
 
     def active_eta(self, t: float) -> float:
-        idx = int(np.searchsorted(self._ts, t, side="right")) - 1
-        return float(self._etas[np.clip(idx, 0, len(self._etas) - 1)])
+        n = self.n_crossings(t)
+        if n < 0 and self.trace.approach_eta is not None:
+            return float(self.trace.approach_eta)
+        return float(self.trace.eta[np.clip(n, 0, len(self.trace) - 1)])
 
     def state_info(self, t: float) -> PdmpState:
         return PdmpState(position=self.state(t), active_eta=self.active_eta(t),
@@ -135,9 +143,8 @@ class PdmpTrajectory:
 
     def time_average(self, f, n_batches: int = 20) -> "TimeAverage":
         """Trapezoidal time average of f up to t_final, with batch-means SE."""
-        fv = _observe(f, self._ys)
-        dt = np.diff(self._ts)
-        cum = np.concatenate([[0.0], np.cumsum(dt * (fv[1:] + fv[:-1]) * 0.5)])
+        cum = np.concatenate(
+            [[0.0], np.cumsum(_trapezoid_terms(f, *self.grid()))])
         bounds = np.linspace(0.0, self.t_final, n_batches + 1)
         cum_at = np.interp(bounds, self._ts, cum)
         widths = np.diff(bounds)
@@ -192,14 +199,13 @@ class RatioEstimate:
     n_used: int
 
 
-def _segment_integrals(f, trace: MarkovRenewalTrace,
-                       start: int) -> tuple[np.ndarray, np.ndarray]:
-    ints = np.empty(len(trace) - start)
-    taus = np.empty(len(trace) - start)
-    for i, seg in enumerate(trace.segments[start:]):
-        ints[i] = float(np.trapezoid(_observe(f, seg.y), seg.t))
-        taus[i] = seg.tau
-    return ints, taus
+def _n_used(trace: MarkovRenewalTrace, burn_in: int) -> int:
+    n_used = len(trace) - burn_in
+    if trace.flow_t is None or n_used < _DEFAULT_BURN_IN:
+        raise DomainError(
+            f"stationary estimators need stored segments and at least "
+            f"{_DEFAULT_BURN_IN} transitions after burn-in, got {n_used}")
+    return n_used
 
 
 def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
@@ -207,19 +213,13 @@ def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
                            n_batches: int = 20) -> RatioEstimate:
     """Sojourn-weighted chain estimator of the stationary functional.
 
-    Numerator: mean over transitions of the integral of f along the
-    sojourn. Denominator: mean sojourn time, which by the tail formula
-    equals the integrated survival function of the sojourn law. The
-    standard error comes from batch means of the per-batch ratios.
+    Numerator: mean over transitions of the trapezoid integral of f along
+    the sojourn. Denominator: mean of the recorded sojourn times tau_n.
+    The standard error comes from batch means of the per-batch ratios.
     """
-    if trace.segments is None:
-        raise DomainError("ratio estimator needs a trace with stored segments")
-    n_used = len(trace) - burn_in
-    if n_used < _DEFAULT_BURN_IN:
-        raise DomainError(
-            f"need at least {_DEFAULT_BURN_IN} transitions after burn-in, "
-            f"got {n_used}")
-    ints, taus = _segment_integrals(f, trace, burn_in)
+    n_used = _n_used(trace, burn_in)
+    ints = _sojourn_integrals(f, trace, burn_in)
+    taus = trace.tau[burn_in:]
     num = float(np.mean(ints))
     den = float(np.mean(taus))
     cuts = np.linspace(0, n_used, n_batches + 1).astype(int)
@@ -234,27 +234,16 @@ def lifted_measure_probe(law: NoiseLaw, trace: MarkovRenewalTrace, f,
                          burn_in: int = _DEFAULT_BURN_IN) -> float:
     """Stationary functional through the suspension picture.
 
-    Accumulates the roof-function normalization and the under-roof
-    integral of f entry by entry, exactly the construction of the lifted
-    invariant measure. The arithmetic is deliberately organized
-    differently from ratio_formula_estimate (running compensated sums
-    over the suspension, not vectorized means) while sharing the same
-    segment quadrature, so the two must agree to rounding error.
+    The lifted invariant measure normalizes the under-roof integral of f
+    by the integrated roof function. Both come from the same sojourn
+    quadrature as ratio_formula_estimate, the roof as the quadrature of
+    f = 1, and are summed with compensated (math.fsum) sums, so f = 1 gives
+    exactly 1 and the comparison with the ratio estimate isolates plain
+    against compensated summation.
     """
-    if trace.segments is None:
-        raise DomainError("lifted probe needs a trace with stored segments")
-    n_used = len(trace) - burn_in
-    if n_used < _DEFAULT_BURN_IN:
-        raise DomainError(
-            f"need at least {_DEFAULT_BURN_IN} transitions after burn-in, "
-            f"got {n_used}")
-    under_roof = []
-    roofs = []
-    for seg in trace.segments[burn_in:]:
-        fv = _observe(f, seg.y)
-        dt = np.diff(seg.t)
-        under_roof.append(float(np.dot(dt, fv[1:] + fv[:-1])) * 0.5)
-        roofs.append(float(np.trapezoid(np.ones_like(seg.t), seg.t)))
+    _n_used(trace, burn_in)
+    under_roof = _sojourn_integrals(f, trace, burn_in)
+    roofs = _sojourn_integrals(lambda y: np.ones(len(y)), trace, burn_in)
     return math.fsum(under_roof) / math.fsum(roofs)
 
 
@@ -401,7 +390,8 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     stream, with the shift realized as an index offset. Probes that would
     consume a tangency-flagged crossing are skipped and counted; with
     min_crossings > 0 only probes spanning at least that many crossings
-    are kept.
+    are kept; probes start in the first 48 of 112 transitions, so at most
+    32 crossings leave them room inside the 64-transition look-ahead.
 
     Both paths run at a refined integrator tolerance regardless of the
     ambient section settings: global integration error is amplified by
@@ -410,19 +400,26 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     """
     if probes < 100:
         raise DomainError("need at least 100 probes")
+    if not 0 <= min_crossings <= _MAX_MIN_CROSSINGS:
+        raise DomainError(
+            f"min_crossings must lie in [0, {_MAX_MIN_CROSSINGS}]")
     y_x = as_state(x.y if isinstance(x, SectionEvent) else x)
     if not on_section(section, y_x):
         raise DomainError("base point must lie on the section")
 
     section = replace(section, tol=min(section.tol, 1e-12),
                       root_tol=min(section.root_tol, 1e-10))
-    tol = section.tol
     n_base = 48
     n_chain = n_base + 64
     trace = sample_chain(law, section, y_x, n=n_chain, seed=seed)
     mean_tau = float(np.mean(trace.tau))
     rng = np.random.default_rng(seed + 1)
     t_lo = min_crossings * mean_tau
+
+    def flow(n: int, y: np.ndarray, dt: float) -> np.ndarray:
+        fld = section.forced(float(trace.eta[n]))
+        return integrate(fld, y, dt, tol=section.tol).y[-1] if dt > 0.0 \
+            else y.copy()
 
     worst = 0.0
     n_skipped = 0
@@ -446,14 +443,10 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
         if tangent_hit:
             n_skipped += 1
             continue
-        fld_j = section.forced(float(trace.eta[j]))
-        y_a = integrate(fld_j, trace.x[j], total, tol=tol).y[-1] \
-            if total > 0.0 else trace.x[j].copy()
+        y_a = flow(j, trace.x[j], total)
 
         # direct side: project to phase space, then flow the span
-        fld_k = section.forced(float(trace.eta[k]))
-        y_cur = integrate(fld_k, trace.x[k], s, tol=tol).y[-1] \
-            if s > 0.0 else trace.x[k].copy()
+        y_cur = flow(k, trace.x[k], s)
         remaining = t
         idx = k
         crossings = 0
@@ -465,9 +458,7 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
                 ev = return_map(section, y_cur,
                                 eta=float(trace.eta[idx])).x_next
             if ev.t > remaining:
-                if remaining > 0.0:
-                    y_cur = integrate(section.forced(float(trace.eta[idx])),
-                                      y_cur, remaining, tol=tol).y[-1]
+                y_cur = flow(idx, y_cur, remaining)
                 break
             if ev.tangent:
                 tangent_hit = True

@@ -92,7 +92,7 @@ class SectionEvent:
     tangent: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowSegment:
     """Sampled flow between consecutive crossings (relative times, t[0] = 0)."""
 
@@ -135,28 +135,6 @@ def on_section(section: SectionSpec, y, atol: float = 1e-6) -> bool:
     return abs(g) <= atol and gdot <= section.tangency_tol and section.contains(y)
 
 
-class _PiecewiseDense:
-    """Concatenation of dense solutions over consecutive time windows."""
-
-    def __init__(self):
-        self.pieces: list[tuple[float, float, object]] = []
-
-    def add(self, t0: float, t1: float, sol) -> None:
-        self.pieces.append((t0, t1, sol))
-
-    def eval(self, ts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(ts), 3))
-        bounds = np.array([p[1] for p in self.pieces])
-        idx = np.minimum(np.searchsorted(bounds, ts, side="left"),
-                         len(self.pieces) - 1)
-        for i in np.unique(idx):
-            sel = idx == i
-            t0 = self.pieces[i][0]
-            local = np.clip(ts[sel] - t0, 0.0, self.pieces[i][1] - t0)
-            out[sel] = self.pieces[i][2](local).T
-        return out
-
-
 def _surface_event(fld: FieldSpec):
     h = np.asarray(fld.h)
     eta = fld.eta
@@ -190,7 +168,7 @@ def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
     the event machinery would otherwise re-report the start point.
     """
     y = as_state(y0)
-    dense = _PiecewiseDense() if want_segment else None
+    dense = []  # (t0, t1, dense solution) of each solve window
     t_accum = 0.0
     event = _surface_event(fld)
     rhs = lambda t, s: fld.velocity(s)
@@ -203,7 +181,7 @@ def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
         if not sol.success:
             raise IntegrationError(f"guard step failed: {sol.message}")
         if want_segment:
-            dense.add(t_accum, t_accum + _GUARD_TIME, sol.sol)
+            dense.append((t_accum, t_accum + _GUARD_TIME, sol.sol))
         t_accum += _GUARD_TIME
         return sol.y[:, -1]
 
@@ -227,26 +205,33 @@ def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
         t_ev = float(sol.t_events[0][0])
         y_ev = sol.y_events[0][0].copy()
         if want_segment:
-            dense.add(t_accum, t_accum + t_ev, sol.sol)
+            dense.append((t_accum, t_accum + t_ev, sol.sol))
         t_accum += t_ev
         if section.contains(y_ev):
             ev = _make_event(section, fld, t_accum, y_ev)
-            segment = (_build_segment(dense, t_accum, y0, y_ev, fld.eta,
-                                      section.grid_step)
+            segment = (_sample_segment(dense, t_accum, y0, y_ev,
+                                       section.grid_step)
                        if want_segment else None)
             return ev, segment
         # Surface crossing outside the box: not an event, flow onward.
         y = guard(y_ev)
 
 
-def _build_segment(dense: _PiecewiseDense, tau: float, y_start, y_end,
-                   eta: float, step: float) -> FlowSegment:
+def _sample_segment(dense: list, tau: float, y_start, y_end,
+                    step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the joined solve windows on a uniform grid over [0, tau]."""
     n = max(1, int(math.ceil(tau / step)))
     ts = np.linspace(0.0, tau, n + 1)
-    ys = dense.eval(ts)
+    ys = np.empty((len(ts), 3))
+    idx = np.minimum(np.searchsorted([w[1] for w in dense], ts, side="left"),
+                     len(dense) - 1)
+    for i in np.unique(idx):
+        sel = idx == i
+        t0, t1, sol = dense[i]
+        ys[sel] = sol(np.clip(ts[sel] - t0, 0.0, t1 - t0)).T
     ys[0] = as_state(y_start)
     ys[-1] = y_end
-    return FlowSegment(t=ts, y=ys, eta=eta)
+    return ts, ys
 
 
 def next_crossing(fld: FieldSpec, section: SectionSpec, y0) -> SectionEvent:
@@ -289,12 +274,16 @@ def return_map(section: SectionSpec, x, eta: float = 0.0) -> ReturnSample:
 
 @dataclass
 class MarkovRenewalTrace:
-    """Embedded chain (x_n, eta_n, tau_n, sigma_n) plus optional segments.
+    """Embedded chain (x_n, eta_n, tau_n, sigma_n) plus optional sampled flow.
 
     sigma_n is the absolute time of crossing n (sigma_0 > 0 when the run
     started off the section), tau_n the sojourn driven by eta_n, and
     x_{n+1} = flow_{eta_n}^{tau_n}(x_n) within integration tolerance.
     valid is False on traces cut short by a failed crossing search.
+    A kept flow is stored once, flat: piece p has times since its start
+    flow_t[o[p]:o[p + 1]] and states flow_y[o[p]:o[p + 1]], o = flow_offsets.
+    Piece 0 is the approach (driven by approach_eta) when the run started
+    off the section; the sojourns follow in order.
     """
 
     x: np.ndarray
@@ -308,8 +297,10 @@ class MarkovRenewalTrace:
     seed: int
     section: SectionSpec
     valid: bool = True
-    segments: list[FlowSegment] | None = None
-    approach: FlowSegment | None = None
+    approach_eta: float | None = None
+    flow_t: np.ndarray | None = None
+    flow_y: np.ndarray | None = None
+    flow_offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -321,15 +312,36 @@ class MarkovRenewalTrace:
     def x_next(self, n: int) -> np.ndarray:
         return self.x[n + 1] if n + 1 < len(self.x) else self.x_end
 
+    @property
+    def sojourn_offsets(self) -> np.ndarray:
+        """Offsets of the sojourn pieces: sojourn n spans [o[n], o[n + 1])."""
+        return self.flow_offsets[int(self.approach_eta is not None):]
+
+    def _views(self, off, etas) -> list[FlowSegment]:
+        return [FlowSegment(self.flow_t[a:b], self.flow_y[a:b], float(eta))
+                for a, b, eta in zip(off[:-1], off[1:], etas)]
+
+    @property
+    def segments(self) -> list[FlowSegment] | None:
+        """Sampled flow of each sojourn: read-only views of the flat arrays."""
+        return None if self.flow_t is None else \
+            self._views(self.sojourn_offsets, self.eta)
+
+    @property
+    def approach(self) -> FlowSegment | None:
+        """Sampled approach to the first crossing, as read-only views."""
+        if self.flow_t is None or self.approach_eta is None:
+            return None
+        return self._views(self.flow_offsets[:2], [self.approach_eta])[0]
+
     def continuity_defect(self) -> float:
-        """Max mismatch between stored x_{n+1} and segment endpoints."""
-        if not self.segments:
+        """Max mismatch between stored x_n, x_{n+1} and sojourn endpoints."""
+        if self.flow_t is None or not len(self):
             return 0.0
-        worst = 0.0
-        for n, seg in enumerate(self.segments):
-            worst = max(worst, float(np.max(np.abs(seg.y[-1] - self.x_next(n)))))
-            worst = max(worst, float(np.max(np.abs(seg.y[0] - self.x[n]))))
-        return worst
+        off = self.sojourn_offsets
+        x_next = np.vstack([self.x[1:], self.x_end])
+        return float(max(np.max(np.abs(self.flow_y[off[:-1]] - self.x)),
+                         np.max(np.abs(self.flow_y[off[1:] - 1] - x_next))))
 
     def write_jsonl(self, path) -> None:
         """One record per event: {n, t_abs, tau, eta, y, casimir}."""
@@ -340,13 +352,6 @@ class MarkovRenewalTrace:
                        "y": [float(v) for v in self.x[n]],
                        "casimir": self.casimir[n]}
                 fh.write(json.dumps(rec) + "\n")
-
-    def write_csv(self, path) -> None:
-        """Summary rows (n, tau, casimir)."""
-        with Path(path).open("w") as fh:
-            fh.write("n,tau,casimir\n")
-            for n in range(len(self)):
-                fh.write("%d,%.17g,%.17g\n" % (n, self.tau[n], self.casimir[n]))
 
 
 def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
@@ -369,13 +374,15 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
         raise DomainError("n must be >= 1")
     y0 = as_state(x0.y if isinstance(x0, SectionEvent) else x0)
     stream = NoiseSequence(law, seed)
-    approach = None
+    pieces = []  # sampled (t, y) of each piece, None unless kept
+    approach_eta = None
     sigma0 = 0.0
     x_cur = y0
     if not on_section(section, y0, atol=1e-6):
-        eta0 = stream.value(0)
-        ev, approach = _search(section.forced(eta0), section, y0,
-                               want_segment=keep_segments, guard_first=False)
+        approach_eta = stream.value(0)
+        ev, piece = _search(section.forced(approach_eta), section, y0,
+                            want_segment=keep_segments, guard_first=False)
+        pieces.append(piece)
         sigma0 = ev.t
         x_cur = ev.y
         stream = stream.shifted(1)
@@ -385,16 +392,16 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
     taus = np.empty(n)
     cas = np.empty(n)
     tang = np.zeros(n, dtype=bool)
-    segments: list[FlowSegment] | None = [] if keep_segments else None
 
     def _trace(k: int, x_end, ok: bool) -> MarkovRenewalTrace:
         sigma = sigma0 + np.concatenate([[0.0], np.cumsum(taus[:k - 1])]) \
             if k else np.empty(0)
+        flow = _flatten(pieces) if keep_segments else {}
         return MarkovRenewalTrace(
             x=xs[:k].copy(), eta=etas[:k].copy(), tau=taus[:k].copy(),
             sigma=sigma, casimir=cas[:k].copy(), tangent=tang[:k].copy(),
             x_end=np.asarray(x_end, dtype=float), law=law, seed=int(seed),
-            section=section, valid=ok, segments=segments, approach=approach)
+            section=section, valid=ok, approach_eta=approach_eta, **flow)
 
     t_acc = sigma0
     for k in range(n):
@@ -403,20 +410,30 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
         etas[k] = eta_k
         cas[k] = casimir(x_cur)
         try:
-            ev, seg = _search(section.forced(eta_k), section, x_cur,
-                              want_segment=keep_segments, guard_first=True)
+            ev, piece = _search(section.forced(eta_k), section, x_cur,
+                                want_segment=keep_segments, guard_first=True)
         except HorizonExceeded as exc:
             exc.partial = _trace(k, x_cur, ok=False)
             raise
         taus[k] = ev.t
         tang[k] = ev.tangent
-        if keep_segments:
-            segments.append(seg)
+        pieces.append(piece)
         x_cur = ev.y
         t_acc += ev.t
         if t_stop is not None and t_acc >= t_stop:
             return _trace(k + 1, x_cur, ok=True)
     return _trace(n, x_cur, ok=True)
+
+
+def _flatten(pieces: list[tuple[np.ndarray, np.ndarray]]) -> dict:
+    flow = {
+        "flow_t": np.concatenate([np.empty(0)] + [t for t, _ in pieces]),
+        "flow_y": np.concatenate([np.empty((0, 3))] + [y for _, y in pieces]),
+        "flow_offsets": np.cumsum([0] + [len(t) for t, _ in pieces]),
+    }
+    for arr in flow.values():
+        arr.setflags(write=False)
+    return flow
 
 
 def settle_on_attractor(fld: FieldSpec, t_settle: float = 30.0,

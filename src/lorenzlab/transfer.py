@@ -224,6 +224,18 @@ def l1_distance(d1, d2) -> float:
     return float(np.sum(np.abs(v1 - v2))) / len(v1)
 
 
+def _parallel_orbits(m, n_points: int, seed: int, n_chains: int = 1024,
+                     burn: int = 200):
+    """Post-burn-in states of parallel orbits, one array per step."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.02, 0.98, size=n_chains)
+    for k in range(burn + int(math.ceil(n_points / n_chains))):
+        # stay strictly inside (0,1): endpoint fixed points would trap chains
+        x = np.clip(np.asarray(m(x), dtype=float), 1e-12, 1.0 - 1e-12)
+        if k >= burn:
+            yield x
+
+
 def birkhoff_histogram(m, n_points: int, n_bins: int, seed: int = 0,
                        n_chains: int = 1024, burn: int = 200) -> Density:
     """Occupation histogram of map orbits as an independent density estimate.
@@ -233,18 +245,11 @@ def birkhoff_histogram(m, n_points: int, n_bins: int, seed: int = 0,
     per-step work vectorized; the pooled histogram estimates the same
     invariant density as one long orbit.
     """
-    rng = np.random.default_rng(seed)
-    steps = burn + int(math.ceil(n_points / n_chains))
-    x = rng.uniform(0.02, 0.98, size=n_chains)
     counts = np.zeros(n_bins)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    for k in range(steps):
-        x = np.asarray(m(x), dtype=float)
-        # stay strictly inside (0,1): endpoint fixed points would trap chains
-        x = np.clip(x, 1e-12, 1.0 - 1e-12)
-        if k >= burn:
-            idx = np.clip(np.digitize(x, edges) - 1, 0, n_bins - 1)
-            counts += np.bincount(idx, minlength=n_bins)
+    for x in _parallel_orbits(m, n_points, seed, n_chains, burn):
+        idx = np.clip(np.digitize(x, edges) - 1, 0, n_bins - 1)
+        counts += np.bincount(idx, minlength=n_bins)
     mass = counts / counts.sum()
     return Density(values=mass * n_bins, n_bins=n_bins)
 
@@ -533,26 +538,16 @@ def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
     p_max = len(b_left) - 1
     i_lo, i_hi = a_left[0], a_right[0]
 
-    rng = np.random.default_rng(seed)
-    n_chains = 1024
-    burn = 200
-    steps = burn + int(math.ceil(n_orbit / n_chains))
-    x = rng.uniform(0.02, 0.98, size=n_chains)
-    in_i_per_chain = np.zeros(n_chains)
-    samples: list[np.ndarray] = []
-    for k in range(steps):
-        x = np.asarray(m(x), dtype=float)
-        x = np.clip(x, 1e-12, 1.0 - 1e-12)
-        if k >= burn:
-            mask = (x > i_lo) & (x < i_hi)
-            in_i_per_chain += mask
-            samples.append(x[mask].copy())
-    n_total = n_chains * (steps - burn)
+    in_i, samples = [], []
+    for x in _parallel_orbits(m, n_orbit, seed):
+        in_i.append((x > i_lo) & (x < i_hi))
+        samples.append(x[in_i[-1]])
+    in_i = np.array(in_i)  # (steps, chains)
     y = np.concatenate(samples)
     n_in = len(y)
-    mu_i = n_in / n_total
-    mu_i_se = float(np.std(in_i_per_chain / (steps - burn), ddof=1)
-                    / math.sqrt(n_chains))
+    mu_i = n_in / in_i.size
+    mu_i_se = float(np.std(in_i.mean(axis=0), ddof=1)
+                    / math.sqrt(in_i.shape[1]))
 
     # Cylinder index = return time: left points sit between consecutive
     # left cuts, right points between consecutive right cuts.

@@ -207,6 +207,21 @@ def test_conjugation_check_validation(section, x_on_section, y_start):
                                      y_start, seed=0, probes=100)
 
 
+def test_conjugation_rejects_min_crossings_beyond_lookahead(section,
+                                                            x_on_section):
+    for bad in (-1, 70):
+        with pytest.raises(DomainError):
+            suspension_conjugation_check(NoiseLaw.uniform(0.05), section,
+                                         x_on_section, seed=1,
+                                         min_crossings=bad)
+
+
+def test_grid_is_a_view_of_the_trace(traj_noisy):
+    ts, ys = traj_noisy.grid()
+    assert np.shares_memory(ys, traj_noisy.trace.flow_y)
+    assert len(ts) == len(traj_noisy.trace.flow_t)
+
+
 def test_trajectory_validation(chain_short):
     with pytest.raises(DomainError):
         PdmpTrajectory(trace=chain_short, t_final=-1.0)

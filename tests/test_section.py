@@ -1,5 +1,6 @@
 """Crossing detection, return map, and sampled renewal chains."""
 
+import dataclasses
 import json
 import math
 
@@ -90,10 +91,22 @@ def test_chain_states_match_segments(chain_short):
         assert seg.t[0] == 0.0
         assert seg.t[-1] == pytest.approx(tr.tau[k], abs=1e-9)
         assert seg.eta == tr.eta[k]
+        # views into the flat flow arrays, not copies
+        assert np.shares_memory(seg.y, tr.flow_y)
+        assert not seg.y.flags.writeable
 
 
 def test_continuity_defect_small(chain_short):
     assert chain_short.continuity_defect() < 1e-7
+
+
+def test_continuity_defect_flags_moved_junction(chain_short):
+    off = chain_short.sojourn_offsets
+    for row in (off[5], off[6] - 1):  # start and end of sojourn 5
+        moved = dataclasses.replace(chain_short,
+                                    flow_y=chain_short.flow_y.copy())
+        moved.flow_y[row, 1] += 1e-3
+        assert moved.continuity_defect() == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_off_section_start_records_approach(section, y_start):
