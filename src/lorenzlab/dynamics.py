@@ -1,12 +1,13 @@
 """Lorenz'63 vector fields, integration, and the Casimir Lyapunov structure.
 
-Two coordinate frames of the same flow:
+Two coordinate frames of the same flow, one formula:
 
-    X frame                          Y frame, y = (x1, x2, x3 - (gamma+zeta))
-    dx1 = -zeta x1 + zeta x2         dy1 = -zeta y1 + zeta y2
-    dx2 = -x1 x3 + gamma x1 - x2     dy2 = -y1 y3 - zeta y1 - y2
-    dx3 = x1 x2 - beta x3            dy3 = y1 y2 - beta y3 - beta (gamma+zeta)
+    dy1 = zeta (y2 - y1)
+    dy2 = -y1 y3 + c2 y1 - y2
+    dy3 = y1 y2 - beta y3 + c3
 
+with c2 = gamma, c3 = 0 in the raw X frame and c2 = -zeta,
+c3 = -beta (gamma+zeta) in the shifted Y frame y = (x1, x2, x3 - (gamma+zeta)).
 Random forcing is modelled as an additive term eta * H with H a unit vector.
 In the Y frame the Casimir C(y) = |y|^2 obeys
 
@@ -14,6 +15,9 @@ In the Y frame the Casimir C(y) = |y|^2 obeys
 
 with H_eta = eta H + H0 and H0 = (0, 0, -beta (zeta+gamma)), which yields the
 exponential absorption estimate checked by `check_lyapunov_bound`.
+
+Every ODE solve of the package goes through `_solve` (DOP853, one error
+path); the fixed-step `integrate_rk4` is kept apart as an oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ CLASSICAL_GAMMA = 28.0
 CLASSICAL_BETA = 8.0 / 3.0
 
 _CSV_HEADER = "t,y1,y2,y3,casimir"
+_SWEEP_CHUNK = 500  # samples stacked into one ODE by lyapunov_sweep
 
 
 class Frame(enum.Enum):
@@ -76,9 +81,18 @@ class FieldSpec:
                 raise DomainError(f"{name} must be a positive finite number, got {v!r}")
         if not math.isfinite(self.eta):
             raise DomainError("eta must be finite")
-        h = np.asarray(self.forcing, dtype=float)
+        h = np.array(self.forcing, dtype=float)
         if h.shape != (3,) or abs(float(np.linalg.norm(h)) - 1.0) > 1e-9:
             raise DomainError("forcing must be a unit 3-vector")
+        h.setflags(write=False)
+        # The frames differ only in c2 and c3 (module docstring). In the X
+        # frame c3 = -0.0, so adding it leaves every float, -0.0 included.
+        if self.frame is Frame.X:
+            c2, c3 = self.gamma, -0.0
+        else:
+            c2, c3 = -self.zeta, -(self.beta * self.shift)
+        for name, value in (("_h", h), ("_c2", c2), ("_c3", c3)):
+            object.__setattr__(self, name, value)
 
     @property
     def shift(self) -> float:
@@ -87,7 +101,8 @@ class FieldSpec:
 
     @property
     def h(self) -> np.ndarray:
-        return np.asarray(self.forcing, dtype=float)
+        """The forcing direction as a read-only array."""
+        return self._h
 
     @property
     def h0(self) -> np.ndarray:
@@ -105,19 +120,17 @@ class FieldSpec:
             return np.zeros(3)
         return np.array([0.0, 0.0, -self.shift])
 
+    def _terms(self, y1, y2, y3):
+        """The three velocity components, for scalars or arrays."""
+        z, b = self.zeta, self.beta
+        return (z * (y2 - y1), -y1 * y3 + self._c2 * y1 - y2,
+                y1 * y2 - b * y3 + self._c3)
+
     def velocity(self, y) -> np.ndarray:
-        y1, y2, y3 = y
-        z, g, b = self.zeta, self.gamma, self.beta
-        if self.frame is Frame.X:
-            v = np.array([z * (y2 - y1), -y1 * y3 + g * y1 - y2, y1 * y2 - b * y3])
-        else:
-            v = np.array([
-                z * (y2 - y1),
-                -y1 * y3 - z * y1 - y2,
-                y1 * y2 - b * y3 - b * (g + z),
-            ])
+        # Python floats round exactly like numpy scalars and cost less.
+        v = np.array(self._terms(*np.asarray(y).tolist()))
         if self.eta != 0.0:
-            v = v + self.eta * self.h
+            v = v + self.eta * self._h
         return v
 
     def velocity_batch(self, ys: np.ndarray, eta=None) -> np.ndarray:
@@ -126,31 +139,19 @@ class FieldSpec:
         `eta` may be an array broadcastable against ys[..., 0] to give each
         sample its own forcing amplitude (used by the ensemble sweep).
         """
-        y1, y2, y3 = ys[..., 0], ys[..., 1], ys[..., 2]
-        z, g, b = self.zeta, self.gamma, self.beta
-        if self.frame is Frame.X:
-            v = np.stack([z * (y2 - y1), -y1 * y3 + g * y1 - y2, y1 * y2 - b * y3], axis=-1)
-        else:
-            v = np.stack([
-                z * (y2 - y1),
-                -y1 * y3 - z * y1 - y2,
-                y1 * y2 - b * y3 - b * (g + z),
-            ], axis=-1)
+        v = np.stack(self._terms(ys[..., 0], ys[..., 1], ys[..., 2]), axis=-1)
         if eta is None:
             eta = self.eta
         eta = np.asarray(eta, dtype=float)
         if np.any(eta != 0.0):
-            v = v + eta[..., None] * self.h
+            v = v + eta[..., None] * self._h
         return v
 
     def jacobian(self, y) -> np.ndarray:
         y1, y2, y3 = y
-        z, b = self.zeta, self.beta
-        if self.frame is Frame.X:
-            row2 = [-y3 + self.gamma, -1.0, -y1]
-        else:
-            row2 = [-y3 - z, -1.0, -y1]
-        return np.array([[-z, z, 0.0], row2, [y2, y1, -b]])
+        z = self.zeta
+        return np.array([[-z, z, 0.0], [-y3 + self._c2, -1.0, -y1],
+                         [y2, y1, -self.beta]])
 
     def with_eta(self, eta: float) -> "FieldSpec":
         return replace(self, eta=float(eta))
@@ -199,20 +200,10 @@ def casimir_derivatives(field, y) -> tuple[float, float]:
 
 @dataclass
 class Trajectory:
-    """Integration output: sample times, states, and optional dense output."""
+    """Integration output: sample times and states."""
 
     t: np.ndarray
     y: np.ndarray
-    field: object
-    tol: float
-    dense: object = None
-
-    def state(self, t):
-        """Evaluate the trajectory at time(s) t via the dense interpolant."""
-        if self.dense is None:
-            raise DomainError("trajectory was integrated without dense output")
-        out = self.dense(t)
-        return out.T if np.ndim(t) else out
 
     def casimir_series(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.y, self.y)
@@ -227,38 +218,44 @@ class Trajectory:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def _check_solution(sol, context: str):
+def _solve(rhs, y0, t_end: float, tol: float, context: str, **options):
+    """The package's one ODE solve: dy/dt = rhs(y) on [0, t_end] with DOP853.
+
+    rtol = atol = tol; options (t_eval, events, dense_output) go to
+    solve_ivp unchanged. Raises IntegrationError, prefixed by context, on
+    a failed solve or a non-finite state.
+    """
+    sol = solve_ivp(lambda t, y: rhs(y), (0.0, t_end), y0, method="DOP853",
+                    rtol=tol, atol=tol, **options)
     if not sol.success:
         raise IntegrationError(f"{context}: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise IntegrationError(f"{context}: non-finite state reached")
+    return sol
 
 
-def integrate(field, y0, t_end: float, tol: float = 1e-10, t_eval=None,
-              dense: bool = True, t0: float = 0.0) -> Trajectory:
-    """Integrate dy/dt = field.velocity(y) with an order-8 embedded RK pair.
+def integrate(field, y0, t_end: float, tol: float = 1e-10,
+              t_eval=None) -> Trajectory:
+    """Integrate dy/dt = field.velocity(y) from t = 0 to t_end.
 
-    rtol = atol = tol. Dense output is kept by default so callers can
-    resample the solution without re-integrating.
+    Uses the order-8 embedded RK pair with rtol = atol = tol and returns
+    the states at t_eval, or at every accepted step when t_eval is None.
     """
     y0 = as_state(y0)
-    if not (t_end > t0):
-        raise DomainError("t_end must exceed t0")
-    sol = solve_ivp(lambda t, y: field.velocity(y), (t0, float(t_end)), y0,
-                    method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
-                    dense_output=dense)
-    _check_solution(sol, "integrate")
-    return Trajectory(t=sol.t, y=sol.y.T, field=field, tol=tol,
-                      dense=sol.sol if dense else None)
+    if not (t_end > 0.0):
+        raise DomainError("t_end must be positive")
+    sol = _solve(field.velocity, y0, float(t_end), tol, "integrate",
+                 t_eval=t_eval)
+    return Trajectory(t=sol.t, y=sol.y.T)
 
 
-def integrate_rk4(field, y0, t_end: float, n_steps: int, t0: float = 0.0) -> Trajectory:
+def integrate_rk4(field, y0, t_end: float, n_steps: int) -> Trajectory:
     """Fixed-step classical RK4, kept as an independent cross-check oracle."""
     y0 = as_state(y0)
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    h = (float(t_end) - t0) / n_steps
-    ts = t0 + h * np.arange(n_steps + 1)
+    h = float(t_end) / n_steps
+    ts = h * np.arange(n_steps + 1)
     ys = np.empty((n_steps + 1, 3))
     ys[0] = y0
     y = y0
@@ -271,7 +268,7 @@ def integrate_rk4(field, y0, t_end: float, n_steps: int, t0: float = 0.0) -> Tra
         ys[i + 1] = y
     if not np.all(np.isfinite(ys)):
         raise IntegrationError("integrate_rk4: non-finite state reached")
-    return Trajectory(t=ts, y=ys, field=field, tol=float("nan"), dense=None)
+    return Trajectory(t=ts, y=ys)
 
 
 def absorption_rate(field: FieldSpec) -> float:
@@ -306,7 +303,7 @@ def check_lyapunov_bound(field: FieldSpec, y0, t: float, tol: float = 1e-10) -> 
     y0 = as_state(y0)
     m = absorption_rate(field)
     k2 = float(np.dot(field.h_eta, field.h_eta)) / m**2
-    traj = integrate(field, y0, t, tol=tol, t_eval=[t], dense=False)
+    traj = integrate(field, y0, t, tol=tol, t_eval=[t])
     lhs = casimir(traj.y[-1])
     rhs = float(_bound_rhs(casimir(y0), m, k2, t))
     margin = rhs - lhs
@@ -325,12 +322,13 @@ class SweepReport:
 
 def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None, radius: float = 50.0,
                    t_max: float = 10.0, eta_max: float = 1.0, seed: int = 0,
-                   tol: float = 1e-10, chunk: int = 500) -> SweepReport:
+                   tol: float = 1e-10) -> SweepReport:
     """Monte Carlo check of the absorption estimate over random (y0, t, eta).
 
     Samples are integrated as vectorized ensembles (one stacked ODE per
-    chunk), each evaluated at its own horizon via dense output. The
-    estimate's slack dwarfs the shared step-control error of the stacking.
+    _SWEEP_CHUNK samples), each evaluated at its own horizon via dense
+    output. The estimate's slack dwarfs the shared step-control error of
+    the stacking.
     """
     base = field if field is not None else FieldSpec()
     if base.frame is not Frame.Y:
@@ -343,19 +341,18 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None, radius: float
     worst: dict = {}
     done = 0
     while done < n_samples:
-        n = min(chunk, n_samples - done)
+        n = min(_SWEEP_CHUNK, n_samples - done)
         direction = rng.normal(size=(n, 3))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         y0 = direction * (radius * rng.random(n) ** (1.0 / 3.0))[:, None]
         ts = t_max * rng.random(n)
         etas = eta_max * (2.0 * rng.random(n) - 1.0)
 
-        def rhs(t, flat, n=n, etas=etas):
+        def rhs(flat, n=n, etas=etas):
             return base.velocity_batch(flat.reshape(n, 3), eta=etas).ravel()
 
-        sol = solve_ivp(rhs, (0.0, t_max), y0.ravel(), method="DOP853",
-                        rtol=tol, atol=tol, dense_output=True)
-        _check_solution(sol, "lyapunov_sweep")
+        sol = _solve(rhs, y0.ravel(), t_max, tol, "lyapunov_sweep",
+                     dense_output=True)
         c0 = np.einsum("ij,ij->i", y0, y0)
         heta = etas[:, None] * base.h[None, :] + base.h0[None, :]
         k2 = np.einsum("ij,ij->i", heta, heta) / m**2

@@ -22,18 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .dynamics import FieldSpec, Frame, as_state, casimir
-from .errors import (
-    DomainError,
-    HorizonExceeded,
-    IntegrationError,
-    TangencyWarning,
-)
+from .dynamics import FieldSpec, Frame, _solve, as_state, casimir
+from .errors import DomainError, HorizonExceeded, TangencyWarning
 from .noise import NoiseLaw, NoiseSequence
 
 _GUARD_TIME = 1e-6  # nudge used to leave the surface before event detection
+_GRID_STEP = 0.01  # sampling step of stored flow segments
 
 
 @dataclass(frozen=True)
@@ -44,8 +39,7 @@ class SectionSpec:
     per operation). eps_box: half-width of the membership box, see
     calibrate_eps_box. t_max: horizon for a single crossing search.
     tol: integrator tolerance. root_tol: accepted residual |g| at events.
-    tangency_tol: |dg/dt| below this flags a grazing event. grid_step:
-    sampling step of stored flow segments.
+    tangency_tol: |dg/dt| below this flags a grazing event.
     """
 
     field: FieldSpec
@@ -54,7 +48,6 @@ class SectionSpec:
     tol: float = 1e-10
     root_tol: float = 1e-9
     tangency_tol: float = 1e-6
-    grid_step: float = 0.01
 
     def __post_init__(self):
         if self.field.frame is not Frame.Y:
@@ -171,15 +164,11 @@ def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
     dense = []  # (t0, t1, dense solution) of each solve window
     t_accum = 0.0
     event = _surface_event(fld)
-    rhs = lambda t, s: fld.velocity(s)
 
     def guard(y_in: np.ndarray) -> np.ndarray:
         nonlocal t_accum
-        sol = solve_ivp(rhs, (0.0, _GUARD_TIME), y_in, method="DOP853",
-                        rtol=section.tol, atol=section.tol,
-                        dense_output=want_segment)
-        if not sol.success:
-            raise IntegrationError(f"guard step failed: {sol.message}")
+        sol = _solve(fld.velocity, y_in, _GUARD_TIME, section.tol,
+                     "guard step failed", dense_output=want_segment)
         if want_segment:
             dense.append((t_accum, t_accum + _GUARD_TIME, sol.sol))
         t_accum += _GUARD_TIME
@@ -193,11 +182,9 @@ def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
             raise HorizonExceeded(
                 f"no section crossing within t_max = {section.t_max}",
                 horizon=section.t_max, last_state=y)
-        sol = solve_ivp(rhs, (0.0, remaining), y, method="DOP853",
-                        rtol=section.tol, atol=section.tol,
-                        events=[event], dense_output=want_segment)
-        if sol.status == -1:
-            raise IntegrationError(f"crossing search failed: {sol.message}")
+        sol = _solve(fld.velocity, y, remaining, section.tol,
+                     "crossing search failed", events=[event],
+                     dense_output=want_segment)
         if sol.status == 0:
             raise HorizonExceeded(
                 f"no section crossing within t_max = {section.t_max}",
@@ -209,18 +196,17 @@ def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
         t_accum += t_ev
         if section.contains(y_ev):
             ev = _make_event(section, fld, t_accum, y_ev)
-            segment = (_sample_segment(dense, t_accum, y0, y_ev,
-                                       section.grid_step)
+            segment = (_sample_segment(dense, t_accum, y0, y_ev)
                        if want_segment else None)
             return ev, segment
         # Surface crossing outside the box: not an event, flow onward.
         y = guard(y_ev)
 
 
-def _sample_segment(dense: list, tau: float, y_start, y_end,
-                    step: float) -> tuple[np.ndarray, np.ndarray]:
+def _sample_segment(dense: list, tau: float, y_start,
+                    y_end) -> tuple[np.ndarray, np.ndarray]:
     """Sample the joined solve windows on a uniform grid over [0, tau]."""
-    n = max(1, int(math.ceil(tau / step)))
+    n = max(1, int(math.ceil(tau / _GRID_STEP)))
     ts = np.linspace(0.0, tau, n + 1)
     ys = np.empty((len(ts), 3))
     idx = np.minimum(np.searchsorted([w[1] for w in dense], ts, side="left"),
@@ -329,8 +315,13 @@ class MarkovRenewalTrace:
 
     @property
     def approach(self) -> FlowSegment | None:
-        """Sampled approach to the first crossing, as read-only views."""
-        if self.flow_t is None or self.approach_eta is None:
+        """Sampled approach to the first crossing, as read-only views.
+
+        None when the run started on the section or nothing was stored,
+        including a partial trace whose approach search failed.
+        """
+        if self.flow_t is None or len(self.flow_offsets) < 2 \
+                or self.approach_eta is None:
             return None
         return self._views(self.flow_offsets[:2], [self.approach_eta])[0]
 
@@ -377,16 +368,6 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
     pieces = []  # sampled (t, y) of each piece, None unless kept
     approach_eta = None
     sigma0 = 0.0
-    x_cur = y0
-    if not on_section(section, y0, atol=1e-6):
-        approach_eta = stream.value(0)
-        ev, piece = _search(section.forced(approach_eta), section, y0,
-                            want_segment=keep_segments, guard_first=False)
-        pieces.append(piece)
-        sigma0 = ev.t
-        x_cur = ev.y
-        stream = stream.shifted(1)
-
     xs = np.empty((n, 3))
     etas = np.empty(n)
     taus = np.empty(n)
@@ -400,8 +381,25 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
         return MarkovRenewalTrace(
             x=xs[:k].copy(), eta=etas[:k].copy(), tau=taus[:k].copy(),
             sigma=sigma, casimir=cas[:k].copy(), tangent=tang[:k].copy(),
-            x_end=np.asarray(x_end, dtype=float), law=law, seed=int(seed),
+            x_end=np.array(x_end, dtype=float), law=law, seed=int(seed),
             section=section, valid=ok, approach_eta=approach_eta, **flow)
+
+    def search(eta: float, y, k: int, guard_first: bool):
+        try:
+            return _search(section.forced(eta), section, y,
+                           want_segment=keep_segments, guard_first=guard_first)
+        except HorizonExceeded as exc:
+            exc.partial = _trace(k, y, ok=False)
+            raise
+
+    x_cur = y0
+    if not on_section(section, y0, atol=1e-6):
+        approach_eta = stream.value(0)
+        ev, piece = search(approach_eta, y0, 0, guard_first=False)
+        pieces.append(piece)
+        sigma0 = ev.t
+        x_cur = ev.y
+        stream = stream.shifted(1)
 
     t_acc = sigma0
     for k in range(n):
@@ -409,12 +407,7 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
         xs[k] = x_cur
         etas[k] = eta_k
         cas[k] = casimir(x_cur)
-        try:
-            ev, piece = _search(section.forced(eta_k), section, x_cur,
-                                want_segment=keep_segments, guard_first=True)
-        except HorizonExceeded as exc:
-            exc.partial = _trace(k, x_cur, ok=False)
-            raise
+        ev, piece = search(eta_k, x_cur, k, guard_first=True)
         taus[k] = ev.t
         tang[k] = ev.tangent
         pieces.append(piece)
@@ -442,11 +435,8 @@ def settle_on_attractor(fld: FieldSpec, t_settle: float = 30.0,
     if fld.frame is not Frame.Y:
         raise DomainError("settle_on_attractor expects a Y-frame field")
     y0 = np.array([1.0, 1.0, 1.0 - fld.shift])
-    sol = solve_ivp(lambda t, y: fld.velocity(y), (0.0, t_settle), y0,
-                    method="DOP853", rtol=tol, atol=tol)
-    if not sol.success:
-        raise IntegrationError(f"settle_on_attractor: {sol.message}")
-    return sol.y[:, -1]
+    return _solve(fld.velocity, y0, t_settle, tol,
+                  "settle_on_attractor").y[:, -1]
 
 
 def calibrate_eps_box(fld: FieldSpec, n_events: int = 2000,
@@ -466,10 +456,8 @@ def calibrate_eps_box(fld: FieldSpec, n_events: int = 2000,
     ev.terminal = False
     reqs: list[float] = []
     while len(reqs) < n_events:
-        sol = solve_ivp(lambda t, s: base.velocity(s), (0.0, 100.0), y,
-                        method="DOP853", rtol=tol, atol=tol, events=[ev])
-        if not sol.success:
-            raise IntegrationError(f"calibrate_eps_box: {sol.message}")
+        sol = _solve(base.velocity, y, 100.0, tol, "calibrate_eps_box",
+                     events=[ev])
         for y_ev in sol.y_events[0]:
             reqs.append(max(abs(y_ev[0]), abs(y_ev[1]), y_ev[2] + base.shift))
         y = sol.y[:, -1]

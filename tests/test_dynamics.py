@@ -17,7 +17,7 @@ from lorenzlab import (
     to_y_frame,
 )
 from lorenzlab.dynamics import absorption_rate, eval_field, integrate_rk4
-from lorenzlab.errors import DomainError
+from lorenzlab.errors import DomainError, IntegrationError
 
 
 def test_classical_defaults(field):
@@ -52,16 +52,29 @@ def test_equilibria(field):
 
 
 def test_jacobian_matches_finite_differences(field):
-    rng = np.random.default_rng(1)
-    for y in rng.normal(scale=10.0, size=(5, 3)):
-        jac = field.jacobian(y)
-        fd = np.empty((3, 3))
-        h = 1e-6
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fd[:, j] = (field.velocity(y + e) - field.velocity(y - e)) / (2 * h)
-        np.testing.assert_allclose(jac, fd, atol=1e-6)
+    for fld in (field, field.in_frame(Frame.X)):
+        rng = np.random.default_rng(1)
+        for y in rng.normal(scale=10.0, size=(5, 3)):
+            jac = fld.jacobian(y)
+            fd = np.empty((3, 3))
+            h = 1e-6
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = h
+                fd[:, j] = (fld.velocity(y + e)
+                            - fld.velocity(y - e)) / (2 * h)
+            np.testing.assert_allclose(jac, fd, atol=1e-6)
+
+
+def test_velocity_batch_matches_velocity(field):
+    rng = np.random.default_rng(7)
+    for fld in (field, field.in_frame(Frame.X)):
+        ys = rng.normal(scale=20.0, size=(64, 3))
+        etas = rng.uniform(-0.5, 0.5, size=64)
+        etas[:4] = 0.0
+        batch = fld.velocity_batch(ys, eta=etas)
+        for y, eta, v in zip(ys, etas, batch):
+            assert np.array_equal(v, fld.with_eta(eta).velocity(y))
 
 
 def test_casimir_derivatives_match_finite_differences(field):
@@ -114,6 +127,16 @@ def test_rk4_cross_check(field):
     fine = integrate_rk4(field, y0, 2.0, n_steps=200_000)
     ref = integrate(field, y0, 2.0, t_eval=[2.0])
     assert np.max(np.abs(fine.y[-1] - ref.y[-1])) < 1e-8
+
+
+def test_failed_solve_raises_integration_error():
+    """A blow-up in finite time (dy/dt = y^2) fails the solve."""
+    class Blowup:
+        def velocity(self, y):
+            return y * y
+
+    with pytest.raises(IntegrationError, match="integrate: Required step"):
+        integrate(Blowup(), [1.0, 1.0, 1.0], 2.0)
 
 
 def test_trajectory_csv_round_trip(tmp_path, field):

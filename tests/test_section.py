@@ -152,6 +152,21 @@ def test_failed_search_attaches_partial_trace(field, x_on_section):
     assert np.all(partial.tau < 0.7)
 
 
+def test_failed_approach_attaches_partial_trace(field, y_start):
+    """A start off the section whose approach search fails."""
+    short = SectionSpec(field, eps_box=25.0, t_max=0.05)
+    with pytest.raises(HorizonExceeded) as err:
+        sample_chain(NoiseLaw.delta_zero(), short, y_start, n=5, seed=0,
+                     keep_segments=True)
+    partial = err.value.partial
+    assert not partial.valid
+    assert len(partial) == 0
+    np.testing.assert_array_equal(partial.x_end, y_start)
+    assert partial.segments == []
+    assert partial.approach is None
+    assert partial.continuity_defect() == 0.0
+
+
 def test_write_jsonl_round_trip(tmp_path, chain_short):
     path = tmp_path / "trace.jsonl"
     chain_short.write_jsonl(path)

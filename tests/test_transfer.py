@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lorenzlab.cuspmap import SyntheticCuspMap, make_perturbed_family
-from lorenzlab.errors import DomainError, TruncationWarning
+from lorenzlab.errors import DomainError, SpectralError, TruncationWarning
 from lorenzlab.noise import NoiseLaw
 from lorenzlab.transfer import (
     Density,
@@ -66,6 +66,11 @@ def test_logistic_density_regression():
     # rows give 0.0306 (sampled) or 0.0216 (exact) and trip it.
     d = stationary_density(build_ulam(logistic, 4096))
     assert l1_distance(d, arcsine_density(4096)) < 0.018
+
+
+def test_power_iteration_nonconvergence_raises():
+    with pytest.raises(SpectralError):
+        stationary_density(build_ulam(logistic, 64), max_iter=1)
 
 
 def test_build_ulam_validation():
