@@ -11,16 +11,12 @@ from .dynamics import (
     CLASSICAL_GAMMA,
     CLASSICAL_ZETA,
     FieldSpec,
-    Frame,
     Trajectory,
     absorption_rate,
     casimir,
-    casimir_derivatives,
     check_lyapunov_bound,
     integrate,
     lyapunov_sweep,
-    to_x_frame,
-    to_y_frame,
 )
 from .errors import (
     ConfigError,
@@ -55,7 +51,6 @@ from .cuspmap import (
     SyntheticCuspMap,
     audit_assumptions,
     build_empirical_map,
-    conjugate_map,
     find_expanding_conjugation,
     fit_branch_exponents,
     make_perturbed_family,

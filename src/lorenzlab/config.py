@@ -80,7 +80,7 @@ class ExperimentConfig:
         out = {}
         for f in fields(self):
             v = getattr(self, f.name)
-            out[f.name] = ",".join(f"{x:g}" for x in v) \
+            out[f.name] = ",".join(repr(float(x)) for x in v) \
                 if isinstance(v, tuple) else v
         return out
 

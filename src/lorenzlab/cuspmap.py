@@ -13,7 +13,6 @@ with an assumption audit.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,9 +73,6 @@ class IntervalMap:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
-
 
 def _as_domain(x) -> tuple[np.ndarray, bool]:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -109,12 +105,6 @@ def _invert_monotone(m: IntervalMap, a: float, b: float, y):
         except (ValueError, RuntimeError) as exc:
             raise NumericalError(f"branch inversion failed at y = {yi}") from exc
     return float(out[0]) if scalar else out
-
-
-def sup_distance(m1: IntervalMap, m2: IntervalMap, n: int = 4096) -> float:
-    """Sup of |m1 - m2| over a uniform grid on [0, 1]."""
-    x = np.linspace(0.0, 1.0, n)
-    return float(np.max(np.abs(m1(x) - m2(x))))
 
 
 class SyntheticCuspMap(IntervalMap):
@@ -611,7 +601,7 @@ class ConjugationW:
 
 
 class ConjugatedMap(IntervalMap):
-    """The base map seen through W: values W(T(W^-1(x)))."""
+    """W o T o W^-1: values W(T(W^-1(x))), derivative by the chain rule."""
 
     kind = MapKind.CONJUGATED
 
@@ -642,11 +632,6 @@ class ConjugatedMap(IntervalMap):
         return {"kind": self.kind.value, "x0": self.x0,
                 "gamma_bar": self.w.gamma_bar, "beta_bar": self.w.beta_bar,
                 "base": self.base.to_json()}
-
-
-def conjugate_map(m: IntervalMap, w: ConjugationW) -> ConjugatedMap:
-    """W o T o W^-1 with derivative via the chain rule."""
-    return ConjugatedMap(m, w)
 
 
 def find_expanding_conjugation(m: IntervalMap, gammas=None, betas=None,
@@ -775,15 +760,6 @@ class AuditReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks.values() if c.passed is not None)
-
-    def summary(self) -> str:
-        lines = []
-        for name, c in self.checks.items():
-            status = "----" if c.passed is None else ("PASS" if c.passed else "FAIL")
-            lines.append(f"{status} {name}: value={c.value:.4g}"
-                         + (f" threshold={c.threshold:.4g}" if c.threshold is not None else "")
-                         + f" ({c.detail})")
-        return "\n".join(lines)
 
 
 def _interior_sign_changes(f: np.ndarray, tol: float = 1e-12) -> int:

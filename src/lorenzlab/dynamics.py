@@ -1,15 +1,14 @@
-"""Lorenz'63 vector fields, integration, and the Casimir Lyapunov structure.
+"""The Lorenz'63 field in the shifted frame, integration, and the Casimir bound.
 
-Two coordinate frames of the same flow, one formula:
+The field lives in one frame, the shifted one, y = (x1, x2, x3 - (gamma+zeta))
+in terms of the textbook coordinates x:
 
     dy1 = zeta (y2 - y1)
-    dy2 = -y1 y3 + c2 y1 - y2
-    dy3 = y1 y2 - beta y3 + c3
+    dy2 = -y1 y3 - zeta y1 - y2
+    dy3 = y1 y2 - beta y3 - beta (gamma+zeta)
 
-with c2 = gamma, c3 = 0 in the raw X frame and c2 = -zeta,
-c3 = -beta (gamma+zeta) in the shifted Y frame y = (x1, x2, x3 - (gamma+zeta)).
 Random forcing is modelled as an additive term eta * H with H a unit vector.
-In the Y frame the Casimir C(y) = |y|^2 obeys
+The Casimir C(y) = |y|^2 obeys
 
     dC/dt = -2 (zeta y1^2 + y2^2 + beta y3^2) + 2 <H_eta, y>,
 
@@ -17,12 +16,11 @@ with H_eta = eta H + H0 and H0 = (0, 0, -beta (zeta+gamma)), which yields the
 exponential absorption estimate checked by `check_lyapunov_bound`.
 
 Every ODE solve of the package goes through `_solve` (DOP853, one error
-path); the fixed-step `integrate_rk4` is kept apart as an oracle.
+path).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import dataclass, replace
@@ -41,13 +39,6 @@ _CSV_HEADER = "t,y1,y2,y3,casimir"
 _SWEEP_CHUNK = 500  # samples stacked into one ODE by lyapunov_sweep
 
 
-class Frame(enum.Enum):
-    """Coordinate frame of a field: raw (X) or shifted (Y)."""
-
-    X = "x"
-    Y = "y"
-
-
 def as_state(y) -> np.ndarray:
     """Validate and return a phase point as a float array of shape (3,)."""
     arr = np.asarray(y, dtype=float)
@@ -60,17 +51,16 @@ def as_state(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Parameters of the (possibly forced) Lorenz field in a chosen frame.
+    """Parameters of the (possibly forced) Lorenz field in the shifted frame.
 
     `forcing` must be a unit vector; the perturbed field is
     velocity_0(y) + eta * forcing. Defaults are the classical parameters
-    with zero forcing amplitude, in the shifted frame.
+    with zero forcing amplitude.
     """
 
     zeta: float = CLASSICAL_ZETA
     gamma: float = CLASSICAL_GAMMA
     beta: float = CLASSICAL_BETA
-    frame: Frame = Frame.Y
     eta: float = 0.0
     forcing: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
@@ -85,18 +75,14 @@ class FieldSpec:
         if h.shape != (3,) or abs(float(np.linalg.norm(h)) - 1.0) > 1e-9:
             raise DomainError("forcing must be a unit 3-vector")
         h.setflags(write=False)
-        # The frames differ only in c2 and c3 (module docstring). In the X
-        # frame c3 = -0.0, so adding it leaves every float, -0.0 included.
-        if self.frame is Frame.X:
-            c2, c3 = self.gamma, -0.0
-        else:
-            c2, c3 = -self.zeta, -(self.beta * self.shift)
+        # The constant coefficients of dy2 and dy3 (module docstring).
+        c2, c3 = -self.zeta, -(self.beta * self.shift)
         for name, value in (("_h", h), ("_c2", c2), ("_c3", c3)):
             object.__setattr__(self, name, value)
 
     @property
     def shift(self) -> float:
-        """Vertical offset gamma + zeta between the two frames."""
+        """Vertical offset gamma + zeta of the shifted frame."""
         return self.gamma + self.zeta
 
     @property
@@ -115,9 +101,7 @@ class FieldSpec:
 
     @property
     def saddle(self) -> np.ndarray:
-        """The hyperbolic critical point (origin of the X frame)."""
-        if self.frame is Frame.X:
-            return np.zeros(3)
+        """The hyperbolic critical point (the textbook origin)."""
         return np.array([0.0, 0.0, -self.shift])
 
     def _terms(self, y1, y2, y3):
@@ -156,46 +140,11 @@ class FieldSpec:
     def with_eta(self, eta: float) -> "FieldSpec":
         return replace(self, eta=float(eta))
 
-    def in_frame(self, frame: Frame) -> "FieldSpec":
-        return replace(self, frame=frame)
-
-
-def eval_field(spec: FieldSpec, y) -> np.ndarray:
-    """Velocity of the field at a phase point (validating wrapper)."""
-    return spec.velocity(as_state(y))
-
-
-def to_y_frame(spec: FieldSpec, x) -> np.ndarray:
-    """Map an X-frame point to the shifted frame."""
-    x = as_state(x)
-    return x - np.array([0.0, 0.0, spec.shift])
-
-
-def to_x_frame(spec: FieldSpec, y) -> np.ndarray:
-    """Map a shifted-frame point back to raw coordinates."""
-    y = as_state(y)
-    return y + np.array([0.0, 0.0, spec.shift])
-
 
 def casimir(y) -> float:
     """Squared Euclidean norm of the state."""
     y = np.asarray(y, dtype=float)
     return float(np.dot(y, y))
-
-
-def casimir_derivatives(field, y) -> tuple[float, float]:
-    """First and second time derivatives of the Casimir along the flow.
-
-    Closed form: C' = 2 <v, y> and C'' = 2 (<J v, y> + <v, v>) with
-    v the velocity and J the Jacobian at y. Works for any field object
-    exposing velocity(y) and jacobian(y).
-    """
-    y = np.asarray(y, dtype=float)
-    v = field.velocity(y)
-    jac = field.jacobian(y)
-    cdot = 2.0 * float(np.dot(v, y))
-    cddot = 2.0 * (float(np.dot(jac @ v, y)) + float(np.dot(v, v)))
-    return cdot, cddot
 
 
 @dataclass
@@ -249,28 +198,6 @@ def integrate(field, y0, t_end: float, tol: float = 1e-10,
     return Trajectory(t=sol.t, y=sol.y.T)
 
 
-def integrate_rk4(field, y0, t_end: float, n_steps: int) -> Trajectory:
-    """Fixed-step classical RK4, kept as an independent cross-check oracle."""
-    y0 = as_state(y0)
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
-    h = float(t_end) / n_steps
-    ts = h * np.arange(n_steps + 1)
-    ys = np.empty((n_steps + 1, 3))
-    ys[0] = y0
-    y = y0
-    for i in range(n_steps):
-        k1 = field.velocity(y)
-        k2 = field.velocity(y + 0.5 * h * k1)
-        k3 = field.velocity(y + 0.5 * h * k2)
-        k4 = field.velocity(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys[i + 1] = y
-    if not np.all(np.isfinite(ys)):
-        raise IntegrationError("integrate_rk4: non-finite state reached")
-    return Trajectory(t=ts, y=ys)
-
-
 def absorption_rate(field: FieldSpec) -> float:
     """Decay constant m = min(1, zeta, beta) of the Casimir estimate."""
     return min(1.0, field.zeta, field.beta)
@@ -294,12 +221,7 @@ class BoundReport:
 
 
 def check_lyapunov_bound(field: FieldSpec, y0, t: float, tol: float = 1e-10) -> BoundReport:
-    """Check C(flow_t(y0)) <= C(y0) e^{-mt} + (|H_eta|^2/m^2)(1 + e^{-mt}).
-
-    Pre: field is in the Y frame (the estimate lives there).
-    """
-    if field.frame is not Frame.Y:
-        raise DomainError("the Casimir estimate applies to the Y frame")
+    """Check C(flow_t(y0)) <= C(y0) e^{-mt} + (|H_eta|^2/m^2)(1 + e^{-mt})."""
     y0 = as_state(y0)
     m = absorption_rate(field)
     k2 = float(np.dot(field.h_eta, field.h_eta)) / m**2
@@ -331,8 +253,6 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None, radius: float
     the stacking.
     """
     base = field if field is not None else FieldSpec()
-    if base.frame is not Frame.Y:
-        raise DomainError("the Casimir estimate applies to the Y frame")
     m = absorption_rate(base)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()

@@ -81,15 +81,6 @@ class NoiseLaw:
             return (min(self.atoms), max(self.atoms))
         return (-self.eps, self.eps)
 
-    @property
-    def is_constant(self) -> bool:
-        """True when every draw is the same value (one-point support)."""
-        if self.kind is NoiseKind.DELTA_ZERO:
-            return True
-        if self.kind is NoiseKind.DISCRETE:
-            return len(set(self.atoms)) == 1 or max(self.weights) >= 1.0
-        return False
-
     def mean(self) -> float:
         if self.kind is NoiseKind.DISCRETE:
             return float(np.dot(self.atoms, self.weights))
@@ -164,7 +155,3 @@ class NoiseSequence:
             raise DomainError("shift must be >= 0")
         return NoiseSequence(self.law, self.seed, _parent=self._root,
                              _offset=self._offset + k)
-
-    @property
-    def offset(self) -> int:
-        return self._offset

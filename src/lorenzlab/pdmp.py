@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import Frame, as_state, integrate
+from .dynamics import as_state, integrate
 from .errors import DomainError, IntegrationError
 from .noise import NoiseKind, NoiseLaw
 from .section import (
@@ -32,6 +32,7 @@ from .section import (
 _DEFAULT_BURN_IN = 1000
 _STEP_CAP_TIME = 0.1  # conservative lower bound on a sojourn, for sizing
 _MAX_MIN_CROSSINGS = 32  # conjugation probes stay inside the look-ahead
+_MAX_DRAWS_PER_PROBE = 100  # conjugation draws allowed per requested probe
 
 
 def _observe(f, ys: np.ndarray) -> np.ndarray:
@@ -43,17 +44,6 @@ def _observe(f, ys: np.ndarray) -> np.ndarray:
     except Exception:
         pass
     return np.array([float(f(y)) for y in ys])
-
-
-@dataclass(frozen=True)
-class PdmpState:
-    """Bookkeeping snapshot of the renewal process at one time."""
-
-    position: np.ndarray
-    active_eta: float
-    n_t: int
-    age: float
-    sigma0: float
 
 
 def _trapezoid_terms(f, t: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -136,11 +126,6 @@ class PdmpTrajectory:
             return float(self.trace.approach_eta)
         return float(self.trace.eta[np.clip(n, 0, len(self.trace) - 1)])
 
-    def state_info(self, t: float) -> PdmpState:
-        return PdmpState(position=self.state(t), active_eta=self.active_eta(t),
-                         n_t=self.n_crossings(t), age=self.age(t),
-                         sigma0=self.sigma0)
-
     def time_average(self, f, n_batches: int = 20) -> "TimeAverage":
         """Trapezoidal time average of f up to t_final, with batch-means SE."""
         cum = np.concatenate(
@@ -199,6 +184,11 @@ class RatioEstimate:
     n_used: int
 
 
+def _roofs(trace: MarkovRenewalTrace, start: int) -> np.ndarray:
+    """Sojourn lengths from start on, as the sojourn quadrature of f = 1."""
+    return _sojourn_integrals(lambda y: np.ones(len(y)), trace, start)
+
+
 def _n_used(trace: MarkovRenewalTrace, burn_in: int) -> int:
     n_used = len(trace) - burn_in
     if trace.flow_t is None or n_used < _DEFAULT_BURN_IN:
@@ -214,16 +204,18 @@ def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
     """Sojourn-weighted chain estimator of the stationary functional.
 
     Numerator: mean over transitions of the trapezoid integral of f along
-    the sojourn. Denominator: mean of the recorded sojourn times tau_n.
-    The standard error comes from batch means of the per-batch ratios.
+    the sojourn. Denominator: mean of the sojourn lengths, taken as the
+    same quadrature of f = 1 (the roof), so f = 1 gives exactly 1 with a
+    zero standard error. The standard error comes from batch means of the
+    per-batch ratios.
     """
     n_used = _n_used(trace, burn_in)
     ints = _sojourn_integrals(f, trace, burn_in)
-    taus = trace.tau[burn_in:]
+    roofs = _roofs(trace, burn_in)
     num = float(np.mean(ints))
-    den = float(np.mean(taus))
+    den = float(np.mean(roofs))
     cuts = np.linspace(0, n_used, n_batches + 1).astype(int)
-    ratios = np.array([np.mean(ints[a:b]) / np.mean(taus[a:b])
+    ratios = np.array([np.mean(ints[a:b]) / np.mean(roofs[a:b])
                        for a, b in zip(cuts[:-1], cuts[1:])])
     se = float(np.std(ratios, ddof=1)) / math.sqrt(n_batches)
     return RatioEstimate(value=num / den, se=se, numerator=num,
@@ -237,14 +229,13 @@ def lifted_measure_probe(law: NoiseLaw, trace: MarkovRenewalTrace, f,
     The lifted invariant measure normalizes the under-roof integral of f
     by the integrated roof function. Both come from the same sojourn
     quadrature as ratio_formula_estimate, the roof as the quadrature of
-    f = 1, and are summed with compensated (math.fsum) sums, so f = 1 gives
-    exactly 1 and the comparison with the ratio estimate isolates plain
-    against compensated summation.
+    f = 1, and are summed with compensated (math.fsum) sums, so the
+    comparison with the ratio estimate isolates plain against compensated
+    summation.
     """
     _n_used(trace, burn_in)
     under_roof = _sojourn_integrals(f, trace, burn_in)
-    roofs = _sojourn_integrals(lambda y: np.ones(len(y)), trace, burn_in)
-    return math.fsum(under_roof) / math.fsum(roofs)
+    return math.fsum(under_roof) / math.fsum(_roofs(trace, burn_in))
 
 
 @dataclass(frozen=True)
@@ -333,8 +324,6 @@ def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace,
     infimum over the state space is unknown, which the report flags.
     """
     fld = trace.section.field
-    if fld.frame is not Frame.Y:
-        raise DomainError("drift audit requires the shifted frame")
     m = min(1.0, fld.zeta, fld.beta)
     inf_tau = float(np.min(trace.tau))
     a_eps = math.exp(-m * max(inf_tau - trace.section.tol, 0.0))
@@ -392,6 +381,8 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     min_crossings > 0 only probes spanning at least that many crossings
     are kept; probes start in the first 48 of 112 transitions, so at most
     32 crossings leave them room inside the 64-transition look-ahead.
+    Raises DomainError when _MAX_DRAWS_PER_PROBE * probes draws yield
+    fewer than probes kept probes (every crossing tangent, for instance).
 
     Both paths run at a refined integrator tolerance regardless of the
     ambient section settings: global integration error is amplified by
@@ -425,7 +416,13 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     n_skipped = 0
     n_multi = 0
     done = 0
+    draws = 0
     while done < probes:
+        if draws == _MAX_DRAWS_PER_PROBE * probes:
+            raise DomainError(
+                f"conjugation check kept {done} of {probes} probes after "
+                f"{draws} draws")
+        draws += 1
         k = int(rng.integers(0, n_base))
         s = float(rng.uniform(0.0, trace.tau[k]))
         t = float(rng.uniform(t_lo, t_lo + 3.0 * mean_tau))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import FieldSpec, Frame, _solve, as_state, casimir
+from .dynamics import FieldSpec, _solve, as_state, casimir
 from .errors import DomainError, HorizonExceeded, TangencyWarning
 from .noise import NoiseLaw, NoiseSequence
 
@@ -50,8 +50,6 @@ class SectionSpec:
     tangency_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.field.frame is not Frame.Y:
-            raise DomainError("the section is defined in the Y frame")
         if not (self.eps_box > 0 and math.isfinite(self.eps_box)):
             raise DomainError("eps_box must be positive and finite")
         if self.t_max <= 0:
@@ -227,8 +225,6 @@ def next_crossing(fld: FieldSpec, section: SectionSpec, y0) -> SectionEvent:
     which usually means y0 escaped the absorbing neighbourhood or the box
     is too small.
     """
-    if fld.frame is not Frame.Y:
-        raise DomainError("section operations are defined in the Y frame")
     y0 = as_state(y0)
     g, gdot = surface_derivatives(fld, y0)
     if abs(g) <= section.root_tol and gdot <= section.tangency_tol \
@@ -432,8 +428,6 @@ def _flatten(pieces: list[tuple[np.ndarray, np.ndarray]]) -> dict:
 def settle_on_attractor(fld: FieldSpec, t_settle: float = 30.0,
                         tol: float = 1e-9) -> np.ndarray:
     """A reproducible point on the attractor (fixed start, transient cut)."""
-    if fld.frame is not Frame.Y:
-        raise DomainError("settle_on_attractor expects a Y-frame field")
     y0 = np.array([1.0, 1.0, 1.0 - fld.shift])
     return _solve(fld.velocity, y0, t_settle, tol,
                   "settle_on_attractor").y[:, -1]

@@ -11,6 +11,7 @@ from lorenzlab.config import (
     read_config_file,
 )
 from lorenzlab.errors import ConfigError
+from lorenzlab.experiments import run_directory
 from lorenzlab.manifest import file_sha256
 
 
@@ -131,14 +132,22 @@ class TestPrintConfig:
         assert "eps = 0.02" in out
 
     def test_output_is_reloadable(self, capsys, tmp_path):
-        assert main(["cusp-map", "-s", "seed=3", "--print-config"]) == 0
-        text = capsys.readouterr().out
-        path = tmp_path / "echo.cfg"
-        path.write_text(text)
-        cfg = load_config(path)
-        assert cfg.experiment == "cusp-map"
-        assert cfg.seed == 3
-        assert cfg.eps_ladder == make_config({}).eps_ladder
+        inputs = (([], make_config({}).eps_ladder),
+                  (["-s", "eps_ladder=0.1,0.0123456789"], (0.1, 0.0123456789)))
+        for extra, ladder in inputs:
+            assert main(["cusp-map", "-s", "seed=3", *extra,
+                         "--print-config"]) == 0
+            text = capsys.readouterr().out
+            path = tmp_path / "echo.cfg"
+            path.write_text(text)
+            cfg = load_config(path)
+            assert cfg.experiment == "cusp-map"
+            assert cfg.seed == 3
+            assert cfg.eps_ladder == ladder
+        # every digit of a ladder entry reaches the run directory
+        dirs = {run_directory(make_config({"eps_ladder": text}))
+                for text in ("0.1,0.0123456789", "0.1,0.0123457")}
+        assert len(dirs) == 2
 
 
 class TestAttractorRun:

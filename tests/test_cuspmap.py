@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from lorenzlab.cuspmap import (
+    ConjugatedMap,
     ConjugationW,
     EmpiricalCuspMap,
     SyntheticCuspMap,
     audit_assumptions,
     build_empirical_map,
-    conjugate_map,
     cylinder_anatomy,
     find_expanding_conjugation,
     fit_branch_exponents,
     fit_holder_cross_bound,
     make_perturbed_family,
-    sup_distance,
 )
 from lorenzlab.errors import (
     ConstructionError,
@@ -23,6 +22,12 @@ from lorenzlab.errors import (
     ShapeError,
     SingularPoint,
 )
+
+
+def sup_distance(m1, m2, n: int = 4096) -> float:
+    """Sup of |m1 - m2| over a uniform grid on [0, 1]."""
+    x = np.linspace(0.0, 1.0, n)
+    return float(np.max(np.abs(m1(x) - m2(x))))
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +184,7 @@ def test_empirical_export(tmp_path, synth):
 
 def test_identity_conjugation(synth):
     ident = ConjugationW(gamma_bar=0.0, beta_bar=0.0)
-    tbar = conjugate_map(synth, ident)
+    tbar = ConjugatedMap(synth, ident)
     xs = np.linspace(0.02, 0.98, 41)
     np.testing.assert_allclose(tbar(xs), synth(xs), atol=1e-12)
 
@@ -198,7 +203,7 @@ def test_conjugation_w_is_distribution():
 
 def test_conjugation_moves_cusp(synth):
     w = ConjugationW(1.75, 1.0)
-    tbar = conjugate_map(synth, w)
+    tbar = ConjugatedMap(synth, w)
     assert tbar.x0 == pytest.approx(w(synth.x0), abs=1e-12)
     assert tbar(tbar.x0 - 1e-6) > 1.0 - 1e-2
     assert tbar(tbar.x0 + 1e-6) > 1.0 - 1e-2
@@ -206,7 +211,7 @@ def test_conjugation_moves_cusp(synth):
 
 def test_conjugation_functorial(synth):
     w = ConjugationW(1.75, 1.0)
-    tbar = conjugate_map(synth, w)
+    tbar = ConjugatedMap(synth, w)
     xs = np.linspace(0.1, 0.9, 9)
     lhs = xs.copy()
     for _ in range(5):
@@ -226,7 +231,7 @@ def _iterate(m, xs, n):
 def test_expanding_conjugation_found(synth):
     w, inf_d = find_expanding_conjugation(synth)
     assert inf_d > 1.0
-    tbar = conjugate_map(synth, w)
+    tbar = ConjugatedMap(synth, w)
     assert tbar.inf_abs_derivative() == pytest.approx(inf_d, rel=1e-6)
 
 

@@ -7,24 +7,49 @@ import pytest
 
 from lorenzlab import (
     FieldSpec,
-    Frame,
     casimir,
-    casimir_derivatives,
     check_lyapunov_bound,
     integrate,
     lyapunov_sweep,
-    to_x_frame,
-    to_y_frame,
 )
-from lorenzlab.dynamics import absorption_rate, eval_field, integrate_rk4
+from lorenzlab.dynamics import Trajectory, absorption_rate
 from lorenzlab.errors import DomainError, IntegrationError
+from lorenzlab.section import surface_derivatives
+
+
+def integrate_rk4(field, y0, t_end: float, n_steps: int) -> Trajectory:
+    """Fixed-step classical RK4, an independent oracle for `integrate`."""
+    h = float(t_end) / n_steps
+    ys = np.empty((n_steps + 1, 3))
+    ys[0] = y = np.asarray(y0, dtype=float)
+    for i in range(n_steps):
+        k1 = field.velocity(y)
+        k2 = field.velocity(y + 0.5 * h * k1)
+        k3 = field.velocity(y + 0.5 * h * k2)
+        k4 = field.velocity(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys[i + 1] = y
+    return Trajectory(t=h * np.arange(n_steps + 1), y=ys)
+
+
+class TextbookLorenz:
+    """Lorenz'63 in its textbook coordinates x, written out independently."""
+
+    def __init__(self, zeta, gamma, beta):
+        self.zeta, self.gamma, self.beta = zeta, gamma, beta
+
+    def velocity(self, x):
+        x1, x2, x3 = x
+        return np.array([self.zeta * (x2 - x1),
+                         x1 * (self.gamma - x3) - x2,
+                         x1 * x2 - self.beta * x3])
 
 
 def test_classical_defaults(field):
     assert field.zeta == 10.0
     assert field.gamma == 28.0
     assert field.beta == pytest.approx(8.0 / 3.0)
-    assert field.frame is Frame.Y
+    np.testing.assert_array_equal(field.saddle, [0.0, 0.0, -38.0])
     assert field.shift == 38.0
     np.testing.assert_allclose(field.h0, [0.0, 0.0, -8.0 / 3.0 * 38.0])
 
@@ -37,11 +62,11 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         FieldSpec(forcing=(0.0, 0.0, 2.0))
     with pytest.raises(DomainError):
-        eval_field(FieldSpec(), [1.0, 2.0])
+        integrate(FieldSpec(), [1.0, 2.0], 1.0)
 
 
 def test_equilibria(field):
-    # saddle: origin of the raw frame
+    # saddle: origin of the textbook coordinates
     np.testing.assert_allclose(field.velocity(field.saddle), 0.0,
                                atol=1e-12)
     # wing centers, shifted frame
@@ -52,35 +77,34 @@ def test_equilibria(field):
 
 
 def test_jacobian_matches_finite_differences(field):
-    for fld in (field, field.in_frame(Frame.X)):
-        rng = np.random.default_rng(1)
-        for y in rng.normal(scale=10.0, size=(5, 3)):
-            jac = fld.jacobian(y)
-            fd = np.empty((3, 3))
-            h = 1e-6
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                fd[:, j] = (fld.velocity(y + e)
-                            - fld.velocity(y - e)) / (2 * h)
-            np.testing.assert_allclose(jac, fd, atol=1e-6)
+    rng = np.random.default_rng(1)
+    for y in rng.normal(scale=10.0, size=(5, 3)):
+        jac = field.jacobian(y)
+        fd = np.empty((3, 3))
+        h = 1e-6
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            fd[:, j] = (field.velocity(y + e)
+                        - field.velocity(y - e)) / (2 * h)
+        np.testing.assert_allclose(jac, fd, atol=1e-6)
 
 
 def test_velocity_batch_matches_velocity(field):
     rng = np.random.default_rng(7)
-    for fld in (field, field.in_frame(Frame.X)):
-        ys = rng.normal(scale=20.0, size=(64, 3))
-        etas = rng.uniform(-0.5, 0.5, size=64)
-        etas[:4] = 0.0
-        batch = fld.velocity_batch(ys, eta=etas)
-        for y, eta, v in zip(ys, etas, batch):
-            assert np.array_equal(v, fld.with_eta(eta).velocity(y))
+    ys = rng.normal(scale=20.0, size=(64, 3))
+    etas = rng.uniform(-0.5, 0.5, size=64)
+    etas[:4] = 0.0
+    batch = field.velocity_batch(ys, eta=etas)
+    for y, eta, v in zip(ys, etas, batch):
+        assert np.array_equal(v, field.with_eta(eta).velocity(y))
 
 
 def test_casimir_derivatives_match_finite_differences(field):
     rng = np.random.default_rng(2)
     for y in rng.normal(scale=8.0, size=(4, 3)):
-        cdot, cddot = casimir_derivatives(field, y)
+        # at eta = 0 the surface function is C' and its slope C''
+        cdot, cddot = surface_derivatives(field, y)
         h = 1e-5
         cm = casimir(y)
         cp = casimir(integrate(field, y, h, t_eval=[h]).y[-1])
@@ -103,23 +127,18 @@ def test_axis_decay_closed_form(field):
 
 
 def test_frame_conjugacy(field):
-    """X-frame and Y-frame integrations agree through the coordinate map.
+    """The shifted field and the textbook flow agree through the shift.
 
     Both runs use tol 1e-10; sensitivity of the flow grows the gap to
     roughly 1e-7 over five time units, which bounds this check.
     """
-    fx = field.in_frame(Frame.X)
-    y0 = np.array([2.0, 3.0, 15.0])
+    fx = TextbookLorenz(field.zeta, field.gamma, field.beta)
+    shift = np.array([0.0, 0.0, field.shift])
+    x0 = np.array([2.0, 3.0, 15.0])
     ts = np.linspace(0.0, 5.0, 26)
-    ty = integrate(field, to_y_frame(field, y0), 5.0, t_eval=ts)
-    tx = integrate(fx, y0, 5.0, t_eval=ts)
-    shifted = np.array([to_y_frame(field, p) for p in tx.y])
-    assert np.max(np.abs(shifted - ty.y)) < 1e-6
-
-
-def test_round_trip_frames(field):
-    y = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_allclose(to_x_frame(field, to_y_frame(field, y)), y)
+    ty = integrate(field, x0 - shift, 5.0, t_eval=ts)
+    tx = integrate(fx, x0, 5.0, t_eval=ts)
+    assert np.max(np.abs((tx.y - shift) - ty.y)) < 1e-6
 
 
 def test_rk4_cross_check(field):

@@ -47,7 +47,6 @@ def test_quadrature_exact_for_atoms():
 
 def test_delta_zero_is_constant():
     law = NoiseLaw.delta_zero()
-    assert law.is_constant
     assert law.kind is NoiseKind.DELTA_ZERO
     rng = np.random.default_rng(1)
     assert np.all(law.sample(rng, size=100) == 0.0)

@@ -7,6 +7,7 @@ import pytest
 
 from lorenzlab import (
     NoiseLaw,
+    SectionSpec,
     casimir,
     drift_check,
     empirical_stationary_measure,
@@ -17,7 +18,7 @@ from lorenzlab import (
     simulate_pdmp,
     suspension_conjugation_check,
 )
-from lorenzlab.errors import DomainError
+from lorenzlab.errors import DomainError, TangencyWarning
 from lorenzlab.pdmp import (
     PdmpTrajectory,
     time_average,
@@ -68,9 +69,9 @@ def test_crossing_bookkeeping(traj_noisy):
             age = traj_noisy.age(t)
             assert 0.0 <= age < tr.tau[n]
             assert traj_noisy.active_eta(t) == tr.eta[n]
-    info = traj_noisy.state_info(traj_noisy.sigma0 + 0.1)
-    assert info.n_t == 0
-    assert info.age == pytest.approx(0.1, abs=1e-9)
+    t = traj_noisy.sigma0 + 0.1
+    assert traj_noisy.n_crossings(t) == 0
+    assert traj_noisy.age(t) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_final_count_matches_recorded_crossings(traj_noisy):
@@ -115,6 +116,7 @@ def test_ratio_normalization(chain_med):
     one = lambda y: np.ones(len(np.atleast_2d(y)))
     est = ratio_formula_estimate(one, chain_med, burn_in=100)
     assert est.value == 1.0
+    assert est.se == 0.0
     assert lifted_measure_probe(chain_med.law, chain_med, one,
                                 burn_in=100) == 1.0
     assert est.n_used == len(chain_med.tau) - 100
@@ -214,6 +216,26 @@ def test_conjugation_rejects_min_crossings_beyond_lookahead(section,
             suspension_conjugation_check(NoiseLaw.uniform(0.05), section,
                                          x_on_section, seed=1,
                                          min_crossings=bad)
+
+
+def test_conjugation_skips_tangent_crossings(field, x_on_section):
+    """Every crossing tangent: only probes inside one sojourn are kept."""
+    grazing = SectionSpec(field, eps_box=25.0, tangency_tol=1e12)
+    with pytest.warns(TangencyWarning):
+        rep = suspension_conjugation_check(NoiseLaw.uniform(0.05), grazing,
+                                           x_on_section, seed=1,
+                                           min_crossings=0)
+    assert rep.n_skipped > 0
+    assert rep.n_multi_crossing == 0
+
+
+def test_conjugation_stops_when_no_probe_qualifies(field, x_on_section):
+    """No probe can span a crossing that is not tangent: raise, not hang."""
+    grazing = SectionSpec(field, eps_box=25.0, tangency_tol=1e12)
+    with pytest.warns(TangencyWarning), \
+            pytest.raises(DomainError, match="kept 0 of 100 probes after"):
+        suspension_conjugation_check(NoiseLaw.uniform(0.05), grazing,
+                                     x_on_section, seed=1, min_crossings=1)
 
 
 def test_grid_is_a_view_of_the_trace(traj_noisy):

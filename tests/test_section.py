@@ -17,7 +17,7 @@ from lorenzlab import (
     return_map,
     sample_chain,
 )
-from lorenzlab.errors import DomainError
+from lorenzlab.errors import DomainError, TangencyWarning
 from lorenzlab.noise import NoiseLaw
 from lorenzlab.section import calibrate_eps_box, surface_derivatives
 
@@ -165,6 +165,19 @@ def test_failed_approach_attaches_partial_trace(field, y_start):
     assert partial.segments == []
     assert partial.approach is None
     assert partial.continuity_defect() == 0.0
+
+
+def test_grazing_crossing_is_flagged(field, y_start):
+    """A tangency tolerance above every |dg/dt| makes each crossing tangent."""
+    grazing = SectionSpec(field, eps_box=25.0, tangency_tol=1e12)
+    with pytest.warns(TangencyWarning):
+        ev = next_crossing(grazing.forced(0.0), grazing, y_start)
+    assert ev.tangent
+    with pytest.warns(TangencyWarning):
+        trace = sample_chain(NoiseLaw.uniform(0.05), grazing, y_start,
+                             n=10, seed=0)
+    assert len(trace) == 10
+    assert trace.tangent.all()
 
 
 def test_write_jsonl_round_trip(tmp_path, chain_short):
