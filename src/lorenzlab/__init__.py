@@ -35,7 +35,6 @@ from .section import (
     MarkovRenewalTrace,
     SectionEvent,
     SectionSpec,
-    calibrate_eps_box,
     next_crossing,
     on_section,
     return_map,
@@ -47,7 +46,6 @@ from .cuspmap import (
     ConjugatedMap,
     EmpiricalCuspMap,
     IntervalMap,
-    MapKind,
     SyntheticCuspMap,
     audit_assumptions,
     build_empirical_map,
@@ -79,9 +77,7 @@ from .pdmp import (
     empirical_stationary_measure,
     lifted_measure_probe,
     ratio_formula_estimate,
-    simulate_pdmp,
     suspension_conjugation_check,
-    time_average,
 )
 
 __version__ = "0.1.0"

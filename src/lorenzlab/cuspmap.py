@@ -6,13 +6,12 @@ at 1, one-sided Hoelder exponents B_left, B_right in (0,1) at the cusp, so
 the derivative blows up there), and a monotone-interpolant map built from
 measured successive Casimir maxima. Both expose values, derivatives,
 inverse branches, exponent fitting, a smooth change of coordinates that
-can make the map uniformly expanding, and parametric perturbed families
-with an assumption audit.
+can make the map uniformly expanding, and a one-parameter perturbed
+family with an assumption audit.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,17 +30,14 @@ from .errors import (
     SingularPoint,
 )
 
-
-class MapKind(enum.Enum):
-    EMPIRICAL = "empirical"
-    SYNTHETIC = "synthetic"
-    CONJUGATED = "conjugated"
+_BRANCH_BINS = 64  # log-distance bins per branch of an empirical map
+_FIT_POINTS = 40  # evaluation points in an exponent-fit window
+_DEFORMATION_RATE = 0.5  # cusp shift and branch tilt per unit eps
 
 
 class IntervalMap:
     """Unimodal cusp map on [0,1]: increasing on (0,x0), decreasing on (x0,1)."""
 
-    kind: MapKind
     x0: float
 
     def _values(self, x: np.ndarray) -> np.ndarray:
@@ -69,9 +65,6 @@ class IntervalMap:
     def inverse_right(self, y):
         """Preimage on the decreasing branch [x0, 1]."""
         return _invert_monotone(self, self.x0, 1.0, y)
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 def _as_domain(x) -> tuple[np.ndarray, bool]:
@@ -123,8 +116,6 @@ class SyntheticCuspMap(IntervalMap):
     four asymptotics at once. Construction fails with ConstructionError
     when the requested constants break monotonicity.
     """
-
-    kind = MapKind.SYNTHETIC
 
     def __init__(self, x0: float = 0.39, alpha_left: float = 1.19,
                  alpha_right: float = 0.53, b_left: float = 0.34,
@@ -206,18 +197,6 @@ class SyntheticCuspMap(IntervalMap):
             self.b_right * self._h(u) + u * self._hd(u))
         return out
 
-    @property
-    def params(self) -> dict:
-        """Branch constants, including the correction-term exponents."""
-        return {"x0": self.x0, "alpha_left": self.alpha_left,
-                "alpha_right": self.alpha_right, "b_left": self.b_left,
-                "b_right": self.b_right, "amp_left": self.amp_left,
-                "amp_right": self.amp_right, "psi": 2.0, "kappa": 2.0,
-                "beta_left": 1.0, "beta_right": 1.0}
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "x0": self.x0, "params": self.params}
-
 
 class _LogBranch:
     """One monotone branch stored as log(1 - T) against log distance to x0.
@@ -234,8 +213,6 @@ class _LogBranch:
             raise ShapeError("too few usable bins on one branch of the scatter")
         self._p = PchipInterpolator(u, phi)
         self._pd = self._p.derivative()
-        self.u = u
-        self.phi = phi
         self._u0 = float(u[0])
         self._phi0 = float(phi[0])
         self._slope0 = max(float(self._pd(u[0])), 1e-12)
@@ -266,24 +243,26 @@ class _LogBranch:
 class EmpiricalCuspMap(IntervalMap):
     """Monotone-branch interpolant through binned successive-maxima pairs.
 
-    Values are normalized to [0,1]. The cusp location is refined by a
-    staged power-law fit; each branch is interpolated in log-log
-    coordinates around the cusp, which pins both the singular caps and the
-    endpoint anchors T(0) = T(1) = 0.
+    raw holds at least 1000 (m_n, m_next) pairs of successive maxima. They
+    are normalized affinely by robust (0.1% / 99.9%) quantiles, kept in
+    norm, and clipped to [0,1]. The cusp location is refined by a staged
+    power-law fit; each branch is interpolated in log-log coordinates
+    around the cusp, which pins both the singular caps and the endpoint
+    anchors T(0) = T(1) = 0.
     """
 
-    kind = MapKind.EMPIRICAL
-
-    def __init__(self, pairs: np.ndarray, norm: tuple[float, float],
-                 n_bins: int = 40):
-        pairs = np.asarray(pairs, dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
+    def __init__(self, raw: np.ndarray):
+        raw = np.asarray(raw, dtype=float)
+        if raw.ndim != 2 or raw.shape[1] != 2:
             raise DomainError("pairs must have shape (n, 2)")
-        if len(pairs) < 1000:
+        if len(raw) < 1000:
             raise DomainError("at least 1000 successive-maxima pairs required")
-        self.pairs = pairs
-        self.norm = (float(norm[0]), float(norm[1]))
-        self.n_bins = int(n_bins)
+        lo = float(np.quantile(raw, 0.001))
+        hi = float(np.quantile(raw, 0.999))
+        if hi <= lo:
+            raise DomainError("degenerate Casimir maxima, cannot normalize")
+        self.pairs = pairs = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
+        self.norm = (lo, hi)
 
         centers, means = _binned_means(pairs[:, 0], pairs[:, 1], 64)
         smooth = _moving_average(means, 5)
@@ -294,8 +273,8 @@ class EmpiricalCuspMap(IntervalMap):
         coarse = _refine_peak(centers, smooth, top)
         self.x0 = _refine_x0_powerlaw(pairs[:, 0], pairs[:, 1], coarse)
 
-        self._left = _log_branch(pairs, self.x0, side=-1, n_bins=n_bins)
-        self._right = _log_branch(pairs, self.x0, side=+1, n_bins=n_bins)
+        self._left = _log_branch(pairs, self.x0, side=-1)
+        self._right = _log_branch(pairs, self.x0, side=+1)
 
     def _values(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -311,12 +290,6 @@ class EmpiricalCuspMap(IntervalMap):
         out[~left] = -self._right.slope_mag(x[~left] - self.x0)
         return out
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "x0": self.x0,
-                "norm": list(self.norm),
-                "log_knots_left": [list(self._left.u), list(self._left.phi)],
-                "log_knots_right": [list(self._right.u), list(self._right.phi)]}
-
     def write_scatter_csv(self, path) -> None:
         with Path(path).open("w") as fh:
             fh.write("m_n,m_next\n")
@@ -324,18 +297,18 @@ class EmpiricalCuspMap(IntervalMap):
                 fh.write("%.17g,%.17g\n" % (a, b))
 
 
-def _log_branch(pairs: np.ndarray, x0: float, side: int, n_bins: int) -> _LogBranch:
+def _log_branch(pairs: np.ndarray, x0: float, side: int) -> _LogBranch:
     dist = (x0 - pairs[:, 0]) if side < 0 else (pairs[:, 0] - x0)
     keep = (dist > 1e-7) & (pairs[:, 1] < 1.0 - 1e-9)
     s = dist[keep]
     phi = np.log(1.0 - pairs[keep, 1])
     u = np.log(s)
     top = math.log(x0) if side < 0 else math.log(1.0 - x0)
-    edges = np.linspace(u.min(), min(u.max(), top), n_bins + 1)
-    idx = np.clip(np.digitize(u, edges) - 1, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    uk = np.bincount(idx, weights=u, minlength=n_bins)
-    pk = np.bincount(idx, weights=phi, minlength=n_bins)
+    edges = np.linspace(u.min(), min(u.max(), top), _BRANCH_BINS + 1)
+    idx = np.clip(np.digitize(u, edges) - 1, 0, _BRANCH_BINS - 1)
+    counts = np.bincount(idx, minlength=_BRANCH_BINS)
+    uk = np.bincount(idx, weights=u, minlength=_BRANCH_BINS)
+    pk = np.bincount(idx, weights=phi, minlength=_BRANCH_BINS)
     good = counts >= 3
     uk, pk = uk[good] / counts[good], pk[good] / counts[good]
     # Anchor the far end of the branch: at distance x0 (resp. 1 - x0) the
@@ -441,38 +414,18 @@ def _refine_peak(centers: np.ndarray, y: np.ndarray, top: int) -> float:
     return float(centers[top])
 
 
-def build_empirical_map(source, n_bins: int = 64) -> EmpiricalCuspMap:
+def build_empirical_map(source) -> EmpiricalCuspMap:
     """Cusp map from successive Casimir maxima.
 
-    source may be a MarkovRenewalTrace, a sequence of ReturnSamples, a 1-d
-    array of maxima, or an (n,2) array of raw pairs. Values are normalized
-    affinely using robust (0.1% / 99.9%) quantiles, then clipped to [0,1].
+    source is a MarkovRenewalTrace, whose consecutive Casimir values give
+    the pairs, or an (n,2) array of raw pairs.
     """
-    raw = _extract_pairs(source)
-    if len(raw) < 1000:
-        raise DomainError("at least 1000 successive-maxima pairs required")
-    lo = float(np.quantile(raw, 0.001))
-    hi = float(np.quantile(raw, 0.999))
-    if hi <= lo:
-        raise DomainError("degenerate Casimir maxima, cannot normalize")
-    pairs = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
-    return EmpiricalCuspMap(pairs, norm=(lo, hi), n_bins=n_bins)
-
-
-def _extract_pairs(source) -> np.ndarray:
     if hasattr(source, "casimir") and hasattr(source, "tau"):
         m = np.asarray(source.casimir, dtype=float)
-        return np.column_stack([m[:-1], m[1:]])
-    if isinstance(source, np.ndarray):
-        if source.ndim == 2 and source.shape[1] == 2:
-            return np.asarray(source, dtype=float)
-        if source.ndim == 1:
-            return np.column_stack([source[:-1], source[1:]])
-        raise DomainError("array source must be 1-d maxima or (n,2) pairs")
-    samples = list(source)
-    if samples and hasattr(samples[0], "x_next"):
-        return np.array([[s.x.casimir, s.x_next.casimir] for s in samples])
-    raise DomainError("unsupported source for successive-maxima pairs")
+        source = np.column_stack([m[:-1], m[1:]])
+    elif not isinstance(source, np.ndarray):
+        raise DomainError("source must be a chain trace or an (n,2) array")
+    return EmpiricalCuspMap(source)
 
 
 @dataclass(frozen=True)
@@ -524,8 +477,7 @@ def _loglog_slope(s: np.ndarray, vals: np.ndarray) -> ExponentEstimate:
                             float(np.sqrt(np.mean(resid ** 2))))
 
 
-def fit_branch_exponents(m: IntervalMap, delta: float = 1e-3,
-                         n_points: int = 40) -> BranchFit:
+def fit_branch_exponents(m: IntervalMap, delta: float = 1e-3) -> BranchFit:
     """Estimate the four branch constants from map evaluations.
 
     The endpoint slopes come from regressions through the origin on
@@ -535,7 +487,7 @@ def fit_branch_exponents(m: IntervalMap, delta: float = 1e-3,
     """
     if delta <= 0 or 10.0 * delta >= min(m.x0, 1.0 - m.x0):
         raise DomainError("fit window must fit inside both branches")
-    s = np.geomspace(delta, 10.0 * delta, n_points)
+    s = np.geomspace(delta, 10.0 * delta, _FIT_POINTS)
     alpha_left = _origin_slope(s, m(s))
     alpha_right = _origin_slope(s, m(1.0 - s))
     b_left = _loglog_slope(s, 1.0 - m(m.x0 - s))
@@ -603,8 +555,6 @@ class ConjugationW:
 class ConjugatedMap(IntervalMap):
     """W o T o W^-1: values W(T(W^-1(x))), derivative by the chain rule."""
 
-    kind = MapKind.CONJUGATED
-
     def __init__(self, base: IntervalMap, w: ConjugationW):
         self.base = base
         self.w = w
@@ -627,11 +577,6 @@ class ConjugatedMap(IntervalMap):
         x = edge + (1.0 - 2.0 * edge) * 0.5 * (1.0 - np.cos(np.pi * k / n_grid))
         x = x[np.abs(x - self.x0) > 1e-9]
         return float(np.min(np.abs(self._derivatives(x))))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "x0": self.x0,
-                "gamma_bar": self.w.gamma_bar, "beta_bar": self.w.beta_bar,
-                "base": self.base.to_json()}
 
 
 def find_expanding_conjugation(m: IntervalMap, gammas=None, betas=None,
@@ -707,36 +652,27 @@ def fit_holder_cross_bound(m: IntervalMap, n_pairs: int = 10000,
                           n_pairs=int(keep.sum()))
 
 
-def make_perturbed_family(m: IntervalMap, eps: float,
-                          mode: str = "full", shift_rate: float = 0.5,
-                          tilt_rate: float = 0.5) -> SyntheticCuspMap:
-    """A deformation of a synthetic cusp map at distance O(eps).
+def make_perturbed_family(m: IntervalMap, eps: float) -> SyntheticCuspMap:
+    """Shift-and-tilt deformation of a synthetic cusp map, at distance O(eps).
 
-    Modes: "shift" moves the cusp left by shift_rate*eps; "tilt" steepens
-    the left branch and flattens the right by a factor (1 +- tilt_rate*eps),
-    which keeps each deformed branch on one side of the original so the
-    graphs meet only at 0 and 1; "full" does both. eps = 0 reproduces the
-    base map. Cusp exponents and amplitudes are kept.
+    The cusp moves left by eps/2, and the left branch steepens and the
+    right flattens by a factor (1 +- eps/2), which keeps each deformed
+    branch on one side of the original so the graphs meet only at 0 and
+    1. eps = 0 reproduces the base map. Cusp exponents and amplitudes are
+    kept.
     """
     if not isinstance(m, SyntheticCuspMap):
         raise DomainError("perturbed families are defined for synthetic maps")
     if eps < 0 or not math.isfinite(eps):
         raise DomainError("eps must be a finite non-negative real")
-    if mode not in ("shift", "tilt", "full"):
-        raise DomainError(f"unknown perturbation mode {mode!r}")
-    x0 = m.x0
-    alpha_left, alpha_right = m.alpha_left, m.alpha_right
-    if mode in ("shift", "full"):
-        x0 = m.x0 - shift_rate * eps
-        if not 0.02 < x0 < 0.98:
-            raise ConstructionError("cusp shift leaves the admissible range")
-    if mode in ("tilt", "full"):
-        alpha_left = m.alpha_left * (1.0 + tilt_rate * eps)
-        alpha_right = m.alpha_right * (1.0 - tilt_rate * eps)
-    return SyntheticCuspMap(x0=x0, alpha_left=alpha_left,
-                            alpha_right=alpha_right, b_left=m.b_left,
-                            b_right=m.b_right, amp_left=m.amp_left,
-                            amp_right=m.amp_right)
+    rate = _DEFORMATION_RATE * eps
+    x0 = m.x0 - rate
+    if not 0.02 < x0 < 0.98:
+        raise ConstructionError("cusp shift leaves the admissible range")
+    return SyntheticCuspMap(x0=x0, alpha_left=m.alpha_left * (1.0 + rate),
+                            alpha_right=m.alpha_right * (1.0 - rate),
+                            b_left=m.b_left, b_right=m.b_right,
+                            amp_left=m.amp_left, amp_right=m.amp_right)
 
 
 @dataclass(frozen=True)
@@ -785,8 +721,7 @@ def cylinder_anatomy(m: IntervalMap) -> dict:
 
 
 def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
-                      n_grid: int = 4096, n_pairs: int = 10000,
-                      seed: int = 0) -> AuditReport:
+                      n_grid: int = 4096, n_pairs: int = 10000) -> AuditReport:
     """Report-only audit of the perturbation-family conditions.
 
     Measures uniform closeness, derivative closeness away from the cusp,
@@ -818,7 +753,7 @@ def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
         dclose <= thr, dclose, thr,
         f"sup |T_eps' - T'| outside {ball}-balls at both cusps")
 
-    fit = fit_holder_cross_bound(pert, n_pairs=n_pairs, seed=seed)
+    fit = fit_holder_cross_bound(pert, n_pairs=n_pairs)
     checks["derivative_cross_bound"] = CheckResult(
         None, fit.iota, None,
         f"fitted iota with c_h={fit.c_h:.3g}, worst ratio {fit.worst_ratio:.3g}")

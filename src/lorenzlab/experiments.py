@@ -25,7 +25,7 @@ from .cuspmap import SyntheticCuspMap, build_empirical_map, \
     fit_branch_exponents
 from .dynamics import FieldSpec, absorption_rate, integrate, lyapunov_sweep
 from .errors import ConfigError
-from .manifest import RunManifest
+from .manifest import RunManifest, _jsonable
 from .noise import NoiseLaw
 from .pdmp import PdmpTrajectory, drift_check, lifted_measure_probe, \
     ratio_formula_estimate, suspension_conjugation_check
@@ -67,15 +67,7 @@ def _casimir_obs(y: np.ndarray) -> np.ndarray:
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_plain) + "\n")
-
-
-def _plain(obj):
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
-    return str(obj)
+                               default=_jsonable) + "\n")
 
 
 def _run_attractor(cfg: ExperimentConfig, rdir: Path,
@@ -146,8 +138,7 @@ def _run_stat_stability(cfg: ExperimentConfig, rdir: Path,
     base = SyntheticCuspMap()
     rep = statistical_stability_experiment(base, cfg.eps_ladder, cfg.n_bins)
     dists = rep.distances()
-    decreasing = bool(np.all(np.diff(dists) < 0))
-    man.add_check("distances-decreasing", decreasing,
+    man.add_check("distances-decreasing", rep.monotone,
                   float(np.max(np.diff(dists))), bound=0.0,
                   note="max consecutive increment")
     man.add_check("kendall-trend", rep.kendall_tau > 0.8, rep.kendall_tau,
@@ -187,8 +178,8 @@ def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
     ratio_one = ratio_formula_estimate(one, trace, burn_in=cfg.burn_in)
     ratio_cas = ratio_formula_estimate(_casimir_obs, trace,
                                        burn_in=cfg.burn_in)
-    lifted_one = lifted_measure_probe(law, trace, one, burn_in=cfg.burn_in)
-    lifted_cas = lifted_measure_probe(law, trace, _casimir_obs,
+    lifted_one = lifted_measure_probe(trace, one, burn_in=cfg.burn_in)
+    lifted_cas = lifted_measure_probe(trace, _casimir_obs,
                                       burn_in=cfg.burn_in)
 
     for name, unit in (("time-average", ta_one.value),

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import as_state, integrate
-from .errors import DomainError, IntegrationError
+from .dynamics import absorption_rate, as_state, integrate
+from .errors import DomainError
 from .noise import NoiseKind, NoiseLaw
 from .section import (
     MarkovRenewalTrace,
@@ -30,7 +30,9 @@ from .section import (
 )
 
 _DEFAULT_BURN_IN = 1000
-_STEP_CAP_TIME = 0.1  # conservative lower bound on a sojourn, for sizing
+_N_BATCHES = 20  # batch means behind both estimators' standard errors
+_DRIFT_SLACK = 1e-9  # relative slack of the drift inequalities
+_CONJUGATION_THRESHOLD = 1e-7  # largest discrepancy the conjugation passes
 _MAX_MIN_CROSSINGS = 32  # conjugation probes stay inside the look-ahead
 _MAX_DRAWS_PER_PROBE = 100  # conjugation draws allowed per requested probe
 
@@ -126,18 +128,17 @@ class PdmpTrajectory:
             return float(self.trace.approach_eta)
         return float(self.trace.eta[np.clip(n, 0, len(self.trace) - 1)])
 
-    def time_average(self, f, n_batches: int = 20) -> "TimeAverage":
+    def time_average(self, f) -> "TimeAverage":
         """Trapezoidal time average of f up to t_final, with batch-means SE."""
         cum = np.concatenate(
             [[0.0], np.cumsum(_trapezoid_terms(f, *self.grid()))])
-        bounds = np.linspace(0.0, self.t_final, n_batches + 1)
+        bounds = np.linspace(0.0, self.t_final, _N_BATCHES + 1)
         cum_at = np.interp(bounds, self._ts, cum)
         widths = np.diff(bounds)
         batch_means = np.diff(cum_at) / widths
         value = float(cum_at[-1]) / self.t_final
-        se = float(np.std(batch_means, ddof=1)) / math.sqrt(n_batches)
-        return TimeAverage(value=value, se=se, t_final=self.t_final,
-                           n_batches=n_batches)
+        se = float(np.std(batch_means, ddof=1)) / math.sqrt(_N_BATCHES)
+        return TimeAverage(value=value, se=se, t_final=self.t_final)
 
 
 @dataclass(frozen=True)
@@ -145,34 +146,6 @@ class TimeAverage:
     value: float
     se: float
     t_final: float
-    n_batches: int
-
-
-def simulate_pdmp(law: NoiseLaw, section: SectionSpec, y0, t_final: float,
-                  seed: int) -> PdmpTrajectory:
-    """Run the resampled flow from y0 until the first crossing at or past
-    t_final.
-
-    The forcing amplitude is drawn once per crossing from the seeded
-    stream, so runs are reproducible per seed. A start that fails to reach
-    the section within the horizon is rejected by the underlying search
-    (HorizonExceeded).
-    """
-    if t_final <= 0.0:
-        raise DomainError("t_final must be positive")
-    n_cap = int(math.ceil(t_final / _STEP_CAP_TIME)) + 100
-    trace = sample_chain(law, section, y0, n=n_cap, seed=seed,
-                         keep_segments=True, t_stop=t_final)
-    if trace.sigma[-1] + trace.tau[-1] < t_final:
-        raise IntegrationError("chain ended before the requested horizon")
-    return PdmpTrajectory(trace=trace, t_final=float(t_final))
-
-
-def time_average(f, law: NoiseLaw, section: SectionSpec, y0, t_final: float,
-                 seed: int, n_batches: int = 20) -> TimeAverage:
-    """Ergodic average of f along one simulated trajectory."""
-    return simulate_pdmp(law, section, y0, t_final, seed).time_average(
-        f, n_batches=n_batches)
 
 
 @dataclass(frozen=True)
@@ -199,8 +172,7 @@ def _n_used(trace: MarkovRenewalTrace, burn_in: int) -> int:
 
 
 def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
-                           burn_in: int = _DEFAULT_BURN_IN,
-                           n_batches: int = 20) -> RatioEstimate:
+                           burn_in: int = _DEFAULT_BURN_IN) -> RatioEstimate:
     """Sojourn-weighted chain estimator of the stationary functional.
 
     Numerator: mean over transitions of the trapezoid integral of f along
@@ -214,15 +186,15 @@ def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
     roofs = _roofs(trace, burn_in)
     num = float(np.mean(ints))
     den = float(np.mean(roofs))
-    cuts = np.linspace(0, n_used, n_batches + 1).astype(int)
+    cuts = np.linspace(0, n_used, _N_BATCHES + 1).astype(int)
     ratios = np.array([np.mean(ints[a:b]) / np.mean(roofs[a:b])
                        for a, b in zip(cuts[:-1], cuts[1:])])
-    se = float(np.std(ratios, ddof=1)) / math.sqrt(n_batches)
+    se = float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
     return RatioEstimate(value=num / den, se=se, numerator=num,
                          denominator=den, n_used=n_used)
 
 
-def lifted_measure_probe(law: NoiseLaw, trace: MarkovRenewalTrace, f,
+def lifted_measure_probe(trace: MarkovRenewalTrace, f,
                          burn_in: int = _DEFAULT_BURN_IN) -> float:
     """Stationary functional through the suspension picture.
 
@@ -313,8 +285,7 @@ def _support_candidates(law: NoiseLaw) -> np.ndarray:
     return np.array([lo, hi])
 
 
-def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace,
-                slack: float = 1e-9) -> DriftReport:
+def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace) -> DriftReport:
     """Check the one-step drift of the Casimir at every transition.
 
     Strong form: C(x_{n+1}) <= a C(x_n) + K (1 + a). Weak form:
@@ -324,7 +295,7 @@ def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace,
     infimum over the state space is unknown, which the report flags.
     """
     fld = trace.section.field
-    m = min(1.0, fld.zeta, fld.beta)
+    m = absorption_rate(fld)
     inf_tau = float(np.min(trace.tau))
     a_eps = math.exp(-m * max(inf_tau - trace.section.tol, 0.0))
     h, h0 = fld.h, fld.h0
@@ -335,7 +306,7 @@ def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace,
     c_cur = trace.casimir
     x_next = np.vstack([trace.x[1:], trace.x_end])
     c_next = np.einsum("ij,ij->i", x_next, x_next)
-    tol_abs = slack * (1.0 + c_cur)
+    tol_abs = _DRIFT_SLACK * (1.0 + c_cur)
     strong = c_next > a_eps * c_cur + k_eps * (1.0 + a_eps) + tol_abs
     weak = (1.0 + c_next) > a_eps * (1.0 + c_cur) + k_bar + tol_abs
     return DriftReport(
@@ -365,7 +336,6 @@ class ConjugationReport:
 
 def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
                                  seed: int, probes: int = 100,
-                                 threshold: float = 1e-7,
                                  min_crossings: int = 0
                                  ) -> ConjugationReport:
     """Probe the commutation of time shift and projection to phase space.
@@ -474,4 +444,4 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
 
     return ConjugationReport(max_discrepancy=worst, n_probes=probes,
                              n_skipped=n_skipped, n_multi_crossing=n_multi,
-                             threshold=threshold)
+                             threshold=_CONJUGATION_THRESHOLD)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -61,12 +60,6 @@ class Density:
     def bin_centers(self) -> np.ndarray:
         return (np.arange(self.n_bins) + 0.5) / self.n_bins
 
-    def write_csv(self, path) -> None:
-        with Path(path).open("w") as fh:
-            fh.write("bin_center,value\n")
-            for c, v in zip(self.bin_centers, self.values):
-                fh.write("%.17g,%.17g\n" % (c, v))
-
 
 @dataclass(frozen=True)
 class UlamMatrix:
@@ -92,16 +85,13 @@ class UlamMatrix:
             raise ShapeError("value vector length must equal n_bins")
         return self.matrix.T @ values
 
-    def write_csv(self, path) -> None:
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with Path(path).open("w") as fh:
-            fh.write("i,j,p_ij\n")
-            for k in order:
-                fh.write("%d,%d,%.17g\n" % (coo.row[k], coo.col[k], coo.data[k]))
-
 
 _N_SUB = 64  # stratified sub-samples per bin; 1/_N_SUB is an exact binary float
+_POWER_TOL = 1e-12  # L1 step at which power iteration stops
+_N_CHAINS = 1024  # parallel orbits of the map-sampling estimators
+_BURN = 200  # discarded steps of each parallel orbit
+_N_QUAD = 16  # quadrature nodes of the noise-averaged operator
+_COVERAGE_TARGET = 0.995  # first-return mass below which pianigiani warns
 
 
 def _hat_values(y: np.ndarray, n_bins: int) -> sparse.csr_matrix:
@@ -196,21 +186,21 @@ def build_ulam_exact(m: IntervalMap, n_bins: int) -> UlamMatrix:
     return UlamMatrix(matrix=mat, n_bins=n_bins)
 
 
-def stationary_density(p: UlamMatrix, tol: float = 1e-12,
-                       max_iter: int = 100_000) -> Density:
+def stationary_density(p: UlamMatrix, max_iter: int = 100_000) -> Density:
     """Leading eigenvector by power iteration from the uniform density."""
     mass = np.full(p.n_bins, 1.0 / p.n_bins)
     pt = p.matrix.T.tocsr()
     for _ in range(max_iter):
         new = pt @ mass
         new /= new.sum()
-        if float(np.sum(np.abs(new - mass))) < tol:
+        if float(np.sum(np.abs(new - mass))) < _POWER_TOL:
             mass = new
             break
         mass = new
     else:
         raise SpectralError(
-            f"power iteration did not reach {tol} in {max_iter} iterations")
+            f"power iteration did not reach {_POWER_TOL} in {max_iter} "
+            "iterations")
     mass = np.maximum(mass, 0.0)
     mass /= mass.sum()
     return Density(values=mass * p.n_bins, n_bins=p.n_bins)
@@ -224,30 +214,29 @@ def l1_distance(d1, d2) -> float:
     return float(np.sum(np.abs(v1 - v2))) / len(v1)
 
 
-def _parallel_orbits(m, n_points: int, seed: int, n_chains: int = 1024,
-                     burn: int = 200):
+def _parallel_orbits(m, n_points: int, seed: int):
     """Post-burn-in states of parallel orbits, one array per step."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.02, 0.98, size=n_chains)
-    for k in range(burn + int(math.ceil(n_points / n_chains))):
+    x = rng.uniform(0.02, 0.98, size=_N_CHAINS)
+    for k in range(_BURN + int(math.ceil(n_points / _N_CHAINS))):
         # stay strictly inside (0,1): endpoint fixed points would trap chains
         x = np.clip(np.asarray(m(x), dtype=float), 1e-12, 1.0 - 1e-12)
-        if k >= burn:
+        if k >= _BURN:
             yield x
 
 
-def birkhoff_histogram(m, n_points: int, n_bins: int, seed: int = 0,
-                       n_chains: int = 1024, burn: int = 200) -> Density:
+def birkhoff_histogram(m, n_points: int, n_bins: int,
+                       seed: int = 0) -> Density:
     """Occupation histogram of map orbits as an independent density estimate.
 
-    Runs n_chains parallel orbits from uniform random starts, drops a
+    Runs 1024 parallel orbits from uniform random starts, drops a 200-step
     burn-in, and pools n_points samples. Parallel orbits keep the
     per-step work vectorized; the pooled histogram estimates the same
     invariant density as one long orbit.
     """
     counts = np.zeros(n_bins)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    for x in _parallel_orbits(m, n_points, seed, n_chains, burn):
+    for x in _parallel_orbits(m, n_points, seed):
         idx = np.clip(np.digitize(x, edges) - 1, 0, n_bins - 1)
         counts += np.bincount(idx, minlength=n_bins)
     mass = counts / counts.sum()
@@ -276,8 +265,7 @@ class StabilityReport:
 
 
 def statistical_stability_experiment(base: IntervalMap, eps_ladder,
-                                     n_bins: int, mode: str = "full",
-                                     tol: float = 1e-12) -> StabilityReport:
+                                     n_bins: int) -> StabilityReport:
     """Invariant-density response of the perturbed family along a ladder.
 
     For each eps the perturbed map is constructed and audited, its Ulam
@@ -289,12 +277,12 @@ def statistical_stability_experiment(base: IntervalMap, eps_ladder,
         raise DomainError("eps ladder must be non-negative")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise DomainError("eps ladder must be strictly decreasing")
-    rho = stationary_density(build_ulam(base, n_bins), tol=tol)
+    rho = stationary_density(build_ulam(base, n_bins))
     entries = []
     for eps in eps_ladder:
-        pert = make_perturbed_family(base, eps, mode=mode)
+        pert = make_perturbed_family(base, eps)
         audit = audit_assumptions(base, pert, eps)
-        rho_eps = stationary_density(build_ulam(pert, n_bins), tol=tol)
+        rho_eps = stationary_density(build_ulam(pert, n_bins))
         entries.append(StabilityEntry(eps=eps,
                                       distance=l1_distance(rho, rho_eps),
                                       audit_passed=audit.all_passed,
@@ -306,17 +294,15 @@ def statistical_stability_experiment(base: IntervalMap, eps_ladder,
                            monotone=monotone, n_bins=n_bins)
 
 
-def averaged_transfer_operator(family, law: NoiseLaw, n_bins: int,
-                               n_quad: int = 16) -> UlamMatrix:
+def averaged_transfer_operator(family, law: NoiseLaw,
+                               n_bins: int) -> UlamMatrix:
     """Noise-averaged operator: quadrature mixture of per-amplitude matrices.
 
     family maps an amplitude eta to an interval map. The mixture weights
     come from the law's quadrature rule, so the result is row-stochastic
     by convexity. Atomic laws are averaged exactly.
     """
-    if n_quad < 8:
-        raise DomainError("n_quad must be at least 8")
-    nodes, weights = law.quadrature(n_quad)
+    nodes, weights = law.quadrature(_N_QUAD)
     acc = None
     for eta, w in zip(nodes, weights):
         p = build_ulam(family(float(eta)), n_bins)
@@ -358,14 +344,14 @@ def quasi_holder_norm(d, alpha: float, eps0: float) -> float:
         np.sum(np.abs(values))) / len(values)
 
 
-def build_test_dictionary(n_bins: int, alpha: float = 0.5, eps0: float = 0.125,
-                          stationary: Density | None = None) -> np.ndarray:
+def build_test_dictionary(n_bins: int, alpha: float = 0.5,
+                          eps0: float = 0.125) -> np.ndarray:
     """Fixed 20-function dictionary, each normalized to quasi-Hoelder norm 1.
 
     Entries: constant; the monomials x, x^2, x^3; (1-x), (1-x)^2; x(1-x);
     three Gaussian bumps at 1/4, 1/2, 3/4; six smoothed step functions with
-    cut points k/8 (k = 1..6); three hat functions; sqrt(x); and the
-    stationary density when supplied (else sqrt(1-x)).
+    cut points k/8 (k = 1..6); three hat functions; sqrt(x) and
+    sqrt(1-x).
     """
     x = (np.arange(n_bins) + 0.5) / n_bins
     funcs: list[np.ndarray] = [np.ones(n_bins), x, x ** 2, x ** 3,
@@ -383,8 +369,7 @@ def build_test_dictionary(n_bins: int, alpha: float = 0.5, eps0: float = 0.125,
     for c in (0.25, 0.5, 0.75):
         funcs.append(np.maximum(0.0, 1.0 - 4.0 * np.abs(x - c)))
     funcs.append(np.sqrt(x))
-    funcs.append(stationary.values.copy() if stationary is not None
-                 else np.sqrt(1.0 - x))
+    funcs.append(np.sqrt(1.0 - x))
     out = np.empty((len(funcs), n_bins))
     for i, f in enumerate(funcs):
         out[i] = f / quasi_holder_norm(f, alpha, eps0)
@@ -523,8 +508,7 @@ def _inverse_sequences(m: IntervalMap, p_max: int):
 
 
 def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
-                     n_bins: int = 512, seed: int = 0, p_max: int = 40,
-                     coverage_target: float = 0.995) -> PianigianiReport:
+                     n_bins: int = 512, p_max: int = 40) -> PianigianiReport:
     """Reconstruct the invariant measure from first returns to I.
 
     Orbit samples inside I are grouped into cylinders by return time; the
@@ -539,7 +523,7 @@ def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
     i_lo, i_hi = a_left[0], a_right[0]
 
     in_i, samples = [], []
-    for x in _parallel_orbits(m, n_orbit, seed):
+    for x in _parallel_orbits(m, n_orbit, seed=0):
         in_i.append((x > i_lo) & (x < i_hi))
         samples.append(x[in_i[-1]])
     in_i = np.array(in_i)  # (steps, chains)
@@ -557,7 +541,7 @@ def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
     tau[~left] = np.searchsorted(-b_right, -y[~left])
     assigned = (tau >= 1) & (tau <= p_max)
     coverage = float(np.mean(assigned)) if n_in else 0.0
-    truncated = coverage < coverage_target
+    truncated = coverage < _COVERAGE_TARGET
     if truncated:
         warnings.warn(
             f"cylinder family up to p={p_max} covers {coverage:.4%} of "

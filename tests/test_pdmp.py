@@ -15,29 +15,38 @@ from lorenzlab import (
     lifted_measure_probe,
     ratio_formula_estimate,
     sample_chain,
-    simulate_pdmp,
     suspension_conjugation_check,
 )
 from lorenzlab.errors import DomainError, TangencyWarning
 from lorenzlab.pdmp import (
     PdmpTrajectory,
-    time_average,
     weak_probe_distance,
     weak_probe_functions,
 )
 
 
+def _trajectory(law, section, y_start, n, seed, t_final):
+    """Resampled flow of an n-transition chain, viewed up to t_final.
+
+    Each n is the number of transitions after which the chain from
+    y_start at this seed first crosses the section at or past t_final.
+    """
+    trace = sample_chain(law, section, y_start, n=n, seed=seed,
+                         keep_segments=True)
+    return PdmpTrajectory(trace=trace, t_final=t_final)
+
+
 @pytest.fixture(scope="module")
 def traj_det(section, y_start):
     """Deterministic run over ten time units."""
-    return simulate_pdmp(NoiseLaw.delta_zero(), section, y_start,
-                         t_final=10.0, seed=0)
+    return _trajectory(NoiseLaw.delta_zero(), section, y_start, n=13,
+                       seed=0, t_final=10.0)
 
 
 @pytest.fixture(scope="module")
 def traj_noisy(section, y_start):
-    return simulate_pdmp(NoiseLaw.uniform(0.05), section, y_start,
-                         t_final=40.0, seed=3)
+    return _trajectory(NoiseLaw.uniform(0.05), section, y_start, n=52,
+                       seed=3, t_final=40.0)
 
 
 def test_delta_zero_matches_deterministic_flow(section, y_start, traj_det):
@@ -89,13 +98,13 @@ def test_state_interpolation_continuous(traj_noisy):
 
 def test_reproducible_per_seed(section, y_start):
     law = NoiseLaw.uniform(0.05)
-    a = simulate_pdmp(law, section, y_start, t_final=5.0, seed=21)
-    b = simulate_pdmp(law, section, y_start, t_final=5.0, seed=21)
+    a = _trajectory(law, section, y_start, n=6, seed=21, t_final=5.0)
+    b = _trajectory(law, section, y_start, n=6, seed=21, t_final=5.0)
     ta, ya = a.grid()
     tb, yb = b.grid()
     np.testing.assert_array_equal(ya, yb)
     np.testing.assert_array_equal(ta, tb)
-    c = simulate_pdmp(law, section, y_start, t_final=5.0, seed=22)
+    c = _trajectory(law, section, y_start, n=6, seed=22, t_final=5.0)
     assert not np.array_equal(a.trace.eta, c.trace.eta)
 
 
@@ -106,8 +115,9 @@ def test_time_average_normalization(traj_noisy):
 
 
 def test_time_average_function_wrapper(section, y_start):
-    est = time_average(casimir, NoiseLaw.delta_zero(), section, y_start,
-                       t_final=30.0, seed=1)
+    """A scalar observable, evaluated one state at a time."""
+    est = _trajectory(NoiseLaw.delta_zero(), section, y_start, n=39,
+                      seed=1, t_final=30.0).time_average(casimir)
     assert 300.0 < est.value < 600.0
     assert est.se > 0.0
 
@@ -117,8 +127,7 @@ def test_ratio_normalization(chain_med):
     est = ratio_formula_estimate(one, chain_med, burn_in=100)
     assert est.value == 1.0
     assert est.se == 0.0
-    assert lifted_measure_probe(chain_med.law, chain_med, one,
-                                burn_in=100) == 1.0
+    assert lifted_measure_probe(chain_med, one, burn_in=100) == 1.0
     assert est.n_used == len(chain_med.tau) - 100
 
 
@@ -126,16 +135,17 @@ def test_ratio_and_lifted_agree(chain_med):
     """Same quadrature through two bookkeeping routes."""
     cas = lambda y: np.einsum("ij,ij->i", y, y)
     est = ratio_formula_estimate(cas, chain_med, burn_in=100)
-    probe = lifted_measure_probe(chain_med.law, chain_med, cas, burn_in=100)
+    probe = lifted_measure_probe(chain_med, cas, burn_in=100)
     assert abs(est.value - probe) < 1e-12
 
 
-def test_estimator_duality(section, y_start, chain_med):
+def test_estimator_duality(chain_med):
     """Time average and the renewal ratio estimate the same functional."""
     cas = lambda y: np.einsum("ij,ij->i", y, y)
     ratio = ratio_formula_estimate(cas, chain_med, burn_in=100)
-    direct = time_average(casimir, chain_med.law, section, y_start,
-                          t_final=float(chain_med.sigma[-1] * 0.75), seed=5)
+    direct = PdmpTrajectory(
+        trace=chain_med, t_final=float(chain_med.sigma[-1] * 0.75)
+    ).time_average(casimir)
     gap = abs(ratio.value - direct.value)
     assert gap < 3.0 * math.hypot(ratio.se, direct.se)
 

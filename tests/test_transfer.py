@@ -256,12 +256,3 @@ def test_stability_resolution_robust(synth):
     for a, b in zip(coarse.entries, fine.entries):
         assert abs(a.distance - b.distance) < 0.2 * max(a.distance,
                                                         b.distance)
-
-
-def test_density_csv(tmp_path):
-    d = arcsine_density(64)
-    path = tmp_path / "density.csv"
-    d.write_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(data[:, 1], d.values)
-    np.testing.assert_allclose(data[:, 0], d.bin_centers)
