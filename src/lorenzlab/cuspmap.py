@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.stats import t as student_t
 
 from .errors import (
@@ -33,6 +32,9 @@ from .errors import (
 _BRANCH_BINS = 64  # log-distance bins per branch of an empirical map
 _FIT_POINTS = 40  # evaluation points in an exponent-fit window
 _DEFORMATION_RATE = 0.5  # cusp shift and branch tilt per unit eps
+_XTOL = 1e-14  # absolute width at which a branch-inversion bracket is closed
+_RTOL = 4.0 * np.finfo(float).eps  # relative part of the same width
+_MAX_ITER = 250  # a bracket halves every 5 updates; 47 halvings take 1 below _XTOL
 
 
 class IntervalMap:
@@ -59,11 +61,18 @@ class IntervalMap:
         return float(out[0]) if scalar else out
 
     def inverse_left(self, y):
-        """Preimage on the increasing branch [0, x0]."""
+        """Preimage on the increasing branch [0, x0].
+
+        Solved by a vectorized, bracketed Anderson-Bjorck regula falsi to a
+        bracket width of 1e-14 + 4 * machine eps * |x| (_invert_monotone).
+        """
         return _invert_monotone(self, 0.0, self.x0, y)
 
     def inverse_right(self, y):
-        """Preimage on the decreasing branch [x0, 1]."""
+        """Preimage on the decreasing branch [x0, 1].
+
+        Solved like inverse_left, to the same bracket width.
+        """
         return _invert_monotone(self, self.x0, 1.0, y)
 
 
@@ -78,25 +87,65 @@ def _as_domain(x) -> tuple[np.ndarray, bool]:
 
 
 def _invert_monotone(m: IntervalMap, a: float, b: float, y):
+    """Preimages of the values y on the monotone branch [a, b], all at once.
+
+    Each value runs its own Anderson-Bjorck regula falsi, vectorized over
+    the values whose brackets are still open. Every lane keeps its newest
+    point and the far end of its bracket. As in Brent's method, a trial
+    point stays half the closing width inside the bracket, so the bracket
+    closes from both sides; a lane whose bracket did not halve over its
+    last four updates bisects instead, which bounds the updates. A lane
+    stops when its bracket is narrower than _XTOL + _RTOL * |x| and returns
+    the bracket midpoint, or the point itself where T(x) = y exactly.
+    Lanes never mix, so a preimage does not depend on the other values in
+    the call, and scalars take the same path as 1-element arrays.
+    """
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     scalar = np.ndim(y) == 0
-    fa, fb = m(a), m(b)
+    fa, fb = m._values(np.array([a, b]))
     lo, hi = (fa, fb) if fa <= fb else (fb, fa)
-    out = np.empty_like(ys)
-    for i, yi in enumerate(ys):
-        if not (lo - 1e-12 <= yi <= hi + 1e-12):
-            raise DomainError(f"value {yi} outside branch range [{lo}, {hi}]")
-        yi = min(max(yi, lo), hi)
-        if yi == fa:
-            out[i] = a
-            continue
-        if yi == fb:
-            out[i] = b
-            continue
-        try:
-            out[i] = brentq(lambda u: m(u) - yi, a, b, xtol=1e-14, maxiter=200)
-        except (ValueError, RuntimeError) as exc:
-            raise NumericalError(f"branch inversion failed at y = {yi}") from exc
+    bad = ~((lo - 1e-12 <= ys) & (ys <= hi + 1e-12))
+    if bad.any():
+        raise DomainError(f"value {ys[bad][0]} outside branch range [{lo}, {hi}]")
+    ys = np.clip(ys, lo, hi)
+    out = np.where(ys == fa, a, b)
+    idx = np.flatnonzero((ys != fa) & (ys != fb))
+    yv = ys[idx]
+    xn, gn = np.full(len(idx), b), fb - yv  # newest point
+    xf, gf = np.full(len(idx), a), fa - yv  # far end of the bracket
+    widths = np.full((4, len(idx)), np.inf)  # the last four bracket widths
+    for k in range(_MAX_ITER):
+        d = xf - xn
+        w = np.abs(d)
+        tol = _XTOL + _RTOL * np.abs(xn)
+        done = (w < tol) | (gn == 0.0)
+        if done.any():
+            out[idx[done]] = np.where(gn[done] == 0.0, xn[done],
+                                      0.5 * (xn[done] + xf[done]))
+            keep = ~done
+            idx, yv, xn, gn, xf, gf, d, w, tol = (
+                v[keep] for v in (idx, yv, xn, gn, xf, gf, d, w, tol))
+            widths = widths[:, keep]
+        if not len(idx):
+            break
+        frac = gn / (gn - gf)
+        lim = 0.5 * tol / w
+        frac = np.minimum(np.maximum(frac, lim), 1.0 - lim)
+        frac[w > 0.5 * widths[k % 4]] = 0.5
+        widths[k % 4] = w
+        x = xn + frac * d
+        g = m._values(x) - yv
+        flip = (g > 0.0) != (gn > 0.0)
+        # Anderson-Bjorck: when the same end is replaced twice in a row,
+        # scale down the far value so the next secant steps past the root
+        scale = 1.0 - g / gn
+        scale[~(scale > 0.0)] = 0.5
+        xf = np.where(flip, xn, xf)
+        gf = np.where(flip, gn, gf * scale)
+        xn, gn = x, g
+    if len(idx):
+        raise NumericalError(f"branch inversion failed at y = {yv[0]}: bracket "
+                             f"not closed in {_MAX_ITER} updates")
     return float(out[0]) if scalar else out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -116,6 +117,20 @@ def _hat_values(y: np.ndarray, n_bins: int) -> sparse.csr_matrix:
                              shape=(len(y), n_bins))
 
 
+@lru_cache(maxsize=8)
+def _ulam_senders(n_bins: int) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """Sample points of build_ulam and their transposed hat values.
+
+    Both depend only on n_bins, so they are built once per grid, on first
+    use, and shared read-only by every later build on that grid.
+    """
+    xs = (np.arange(n_bins * _N_SUB) + 0.5) / (_N_SUB * n_bins)
+    senders = _hat_values(xs, n_bins).T.tocsr()
+    for arr in (xs, senders.data, senders.indices, senders.indptr):
+        arr.flags.writeable = False
+    return xs, senders
+
+
 def build_ulam(m, n_bins: int) -> UlamMatrix:
     """Transfer-operator matrix with piecewise-linear Markov rows.
 
@@ -132,13 +147,12 @@ def build_ulam(m, n_bins: int) -> UlamMatrix:
     """
     if n_bins < 16:
         raise DomainError("n_bins must be at least 16")
-    xs = (np.arange(n_bins * _N_SUB) + 0.5) / (_N_SUB * n_bins)
+    xs, senders = _ulam_senders(n_bins)
     vals = np.asarray(m(xs), dtype=float)
     if np.any(~np.isfinite(vals)) or vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
         raise DomainError("map images must stay inside [0, 1]")
     # product of two sparse sample matrices with two non-zeros per row:
     # cheaper than assembling the four (i, j) pairs per sample in COO form
-    senders = _hat_values(xs, n_bins).T.tocsr()
     receivers = _hat_values(np.clip(vals, 0.0, 1.0), n_bins)
     mat = (senders @ receivers) / _N_SUB
     mat.sum_duplicates()

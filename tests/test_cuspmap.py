@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lorenzlab.cuspmap import (
     ConjugatedMap,
     ConjugationW,
     EmpiricalCuspMap,
+    IntervalMap,
     SyntheticCuspMap,
     audit_assumptions,
     build_empirical_map,
@@ -19,6 +21,7 @@ from lorenzlab.cuspmap import (
 from lorenzlab.errors import (
     ConstructionError,
     DomainError,
+    NumericalError,
     ShapeError,
     SingularPoint,
 )
@@ -28,6 +31,23 @@ def sup_distance(m1, m2, n: int = 4096) -> float:
     """Sup of |m1 - m2| over a uniform grid on [0, 1]."""
     x = np.linspace(0.0, 1.0, n)
     return float(np.max(np.abs(m1(x) - m2(x))))
+
+
+def brentq_inverse(m, a: float, b: float, ys) -> np.ndarray:
+    """One scalar Brent solve per value on the branch [a, b]: the oracle.
+
+    Values are clamped to the branch range and the branch end values map to
+    the ends exactly, as in the package's inverses.
+    """
+    fa, fb = m(a), m(b)
+    lo, hi = min(fa, fb), max(fa, fb)
+    out = []
+    for y in np.clip(ys, lo, hi):
+        if y in (fa, fb):
+            out.append(a if y == fa else b)
+        else:
+            out.append(brentq(lambda u: m(u) - y, a, b, xtol=1e-14, maxiter=200))
+    return np.asarray(out)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +171,51 @@ def test_inverse_endpoints_exact(synth):
     assert synth.inverse_left(0.0) == 0.0
     assert synth.inverse_right(0.0) == 1.0
     assert synth.inverse_left(1.0) == synth.x0
+
+
+def _inverse_grid(m):
+    rng = np.random.default_rng(11)
+    return np.concatenate([np.linspace(0.0, 1.0, 201), rng.uniform(0.0, 1.0, 200),
+                           1.0 - np.geomspace(1e-15, 1e-2, 15),
+                           np.geomspace(1e-300, 1e-2, 15)])
+
+
+@pytest.mark.parametrize("eps", [None, 0.005, 0.05, 0.1])
+def test_inverses_match_brentq_oracle(synth, eps):
+    m = synth if eps is None else make_perturbed_family(synth, eps)
+    ys = _inverse_grid(m)
+    for inverse, a, b in ((m.inverse_left, 0.0, m.x0),
+                          (m.inverse_right, m.x0, 1.0)):
+        got = inverse(ys)
+        assert np.max(np.abs(got - brentq_inverse(m, a, b, ys))) <= 1e-13
+
+
+def test_inverse_scalar_matches_vector_bitwise(synth):
+    for m in (synth, make_perturbed_family(synth, 0.02)):
+        ys = _inverse_grid(m)
+        for inverse in (m.inverse_left, m.inverse_right):
+            vec = inverse(ys)
+            assert all(inverse(float(y)) == vec[i] for i, y in enumerate(ys))
+
+
+class _NanInterior(IntervalMap):
+    """Tent map whose values are NaN everywhere but at 0, x0 and 1."""
+
+    x0 = 0.5
+
+    def _values(self, x):
+        out = 1.0 - np.abs(2.0 * x - 1.0)
+        out[(x > 0.0) & (x < 1.0) & (x != self.x0)] = np.nan
+        return out
+
+
+def test_inverse_raises_when_bracket_cannot_close():
+    m = _NanInterior()
+    assert m.inverse_left(1.0) == 0.5
+    with pytest.raises(NumericalError):
+        m.inverse_left(0.3)
+    with pytest.raises(NumericalError):
+        m.inverse_right(np.array([0.0, 0.7]))
 
 
 def test_round_trip_uniform_samples(synth):

@@ -22,6 +22,7 @@ from lorenzlab.transfer import (
     quasi_holder_seminorm,
     stationary_density,
     statistical_stability_experiment,
+    _ulam_senders,
 )
 
 
@@ -78,6 +79,33 @@ def test_build_ulam_validation():
         build_ulam(doubling, 8)
     with pytest.raises(DomainError):
         build_ulam(lambda x: 2.0 * x, 64)
+
+
+def _csr_equal(p, q):
+    return all(np.array_equal(getattr(p.matrix, k), getattr(q.matrix, k))
+               for k in ("data", "indices", "indptr"))
+
+
+def test_build_ulam_repeats_exactly(synth):
+    assert _csr_equal(build_ulam(synth, 128), build_ulam(synth, 128))
+
+
+def test_ulam_senders_read_only():
+    xs, senders = _ulam_senders(64)
+    for arr in (xs, senders.data, senders.indices, senders.indptr):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        xs[0] = 0.5
+
+
+def test_ulam_sender_cache_per_grid(synth):
+    _ulam_senders.cache_clear()
+    fresh = build_ulam(synth, 96)
+    build_ulam(synth, 80)
+    assert _csr_equal(build_ulam(synth, 96), fresh)
+    xs, senders = _ulam_senders(96)
+    assert len(xs) == senders.shape[1] == 96 * 64 and senders.shape[0] == 96
+    assert _ulam_senders(80)[1].shape[0] == 80
 
 
 def test_exact_builder_agrees_with_sampled(synth):
