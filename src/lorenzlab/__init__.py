@@ -14,7 +14,6 @@ from .dynamics import (
     Trajectory,
     absorption_rate,
     casimir,
-    check_lyapunov_bound,
     integrate,
     lyapunov_sweep,
 )
@@ -30,7 +29,7 @@ from .errors import (
     SingularPoint,
     SpectralError,
 )
-from .noise import NoiseKind, NoiseLaw, NoiseSequence
+from .noise import NoiseKind, NoiseLaw
 from .section import (
     MarkovRenewalTrace,
     SectionEvent,

@@ -93,7 +93,8 @@ _HELP = {
     "eps": "noise amplitude for single-amplitude experiments",
     "eps_ladder": "comma-separated decreasing amplitudes for ladders",
     "noise_kind": "one of " + ", ".join(_NOISE_KINDS),
-    "seed": "base seed for every random stream in the run",
+    "seed": "base seed of the run's random streams (the unforced cusp-map "
+            "chain and stat-stability draw none, so they ignore it)",
     "n_bins": "bin count for densities and transfer matrices",
     "n_samples": "sample count for sweeps and map scatters",
     "n_transitions": "chain length for continuous-time experiments",

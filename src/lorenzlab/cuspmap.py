@@ -149,6 +149,14 @@ def _invert_monotone(m: IntervalMap, a: float, b: float, y):
     return float(out[0]) if scalar else out
 
 
+def _horner(coef: tuple, x):
+    """The polynomial coef[0] + coef[1] x + ..., in Horner form."""
+    out = coef[-1]
+    for c in coef[-2::-1]:
+        out = c + out * x
+    return out
+
+
 class SyntheticCuspMap(IntervalMap):
     """Closed-form cusp map with exact branch asymptotics.
 
@@ -197,9 +205,8 @@ class SyntheticCuspMap(IntervalMap):
         # fixing T'(0) = alpha_left.
         g0 = x0 ** (-b_left) / amp_left
         g1 = (b_left / x0 - alpha_left) / (amp_left * x0 ** b_left)
-        self._g = np.polynomial.Polynomial(
-            [g0, g1, (1.0 - g0 - g1 * x0) / x0 ** 2])
-        self._gd = self._g.deriv()
+        g2 = (1.0 - g0 - g1 * x0) / x0 ** 2
+        self._g, self._gd = (g0, g1, g2), (g1, 2.0 * g2)
 
         # Quadratic correction h on the right branch, in powers of u = x - x0:
         # h(0) = 1, h(s) fixes T(1) = 0, h'(s) fixes T'(1) = -alpha_right.
@@ -207,8 +214,8 @@ class SyntheticCuspMap(IntervalMap):
         h1 = s ** (-b_right) / amp_right
         hp1 = (alpha_right - b_right / s) / (amp_right * s ** b_right)
         c2 = (hp1 * s - (h1 - 1.0)) / s ** 2
-        self._h = np.polynomial.Polynomial([1.0, hp1 - 2.0 * c2 * s, c2])
-        self._hd = self._h.deriv()
+        c1 = hp1 - 2.0 * c2 * s
+        self._h, self._hd = (1.0, c1, c2), (c1, 2.0 * c2)
 
         self._check_monotone()
 
@@ -230,9 +237,10 @@ class SyntheticCuspMap(IntervalMap):
         out = np.empty_like(x)
         left = x <= self.x0
         s = np.clip(self.x0 - x[left], 0.0, None)
-        out[left] = 1.0 - self.amp_left * s ** self.b_left * self._g(x[left])
+        out[left] = 1.0 - self.amp_left * s ** self.b_left * \
+            _horner(self._g, x[left])
         u = np.clip(x[~left] - self.x0, 0.0, None)
-        out[~left] = 1.0 - self.amp_right * u ** self.b_right * self._h(u)
+        out[~left] = 1.0 - self.amp_right * u ** self.b_right * _horner(self._h, u)
         return np.clip(out, 0.0, 1.0)
 
     def _derivatives(self, x: np.ndarray) -> np.ndarray:
@@ -240,10 +248,11 @@ class SyntheticCuspMap(IntervalMap):
         left = x < self.x0
         s = self.x0 - x[left]
         out[left] = self.amp_left * s ** (self.b_left - 1.0) * (
-            self.b_left * self._g(x[left]) - s * self._gd(x[left]))
+            self.b_left * _horner(self._g, x[left])
+            - s * _horner(self._gd, x[left]))
         u = x[~left] - self.x0
         out[~left] = -self.amp_right * u ** (self.b_right - 1.0) * (
-            self.b_right * self._h(u) + u * self._hd(u))
+            self.b_right * _horner(self._h, u) + u * _horner(self._hd, u))
         return out
 
 

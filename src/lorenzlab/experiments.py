@@ -27,13 +27,11 @@ from .dynamics import FieldSpec, absorption_rate, integrate, lyapunov_sweep
 from .errors import ConfigError
 from .manifest import RunManifest, _jsonable
 from .noise import NoiseLaw
-from .pdmp import PdmpTrajectory, drift_check, lifted_measure_probe, \
-    ratio_formula_estimate, suspension_conjugation_check
+from .pdmp import _MIN_USED, PdmpTrajectory, drift_check, \
+    lifted_measure_probe, ratio_formula_estimate, suspension_conjugation_check
 from .plotting import Series, emit_plot
 from .section import SectionSpec, sample_chain, settle_on_attractor
 from .transfer import statistical_stability_experiment
-
-_MIN_USED = 1000
 
 
 def _field(cfg: ExperimentConfig) -> FieldSpec:

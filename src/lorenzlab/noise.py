@@ -1,9 +1,9 @@
-"""Forcing-amplitude laws and reproducible noise streams.
+"""Forcing-amplitude laws.
 
 A NoiseLaw is a probability law for the amplitude eta with support inside
-[-eps, eps]. Sampling goes through the inverse CDF applied to a shared
-uniform stream, so runs with the same seed use common random numbers
-across different eps values.
+[-eps, eps]. Amplitudes are drawn as `ppf` of a seeded uniform stream
+(`section.sample_chain`), so runs with the same seed use common random
+numbers across different eps values.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class NoiseLaw:
         idx = np.searchsorted(cum, u, side="right")
         return np.asarray(self.atoms)[np.minimum(idx, len(self.atoms) - 1)]
 
-    def sample(self, rng: np.random.Generator, size=None):
-        out = self.ppf(rng.random(size if size is not None else ()))
-        return float(out) if size is None else out
-
     def quadrature(self, n_nodes: int = 32) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and convex weights integrating this law (for operator averages)."""
         if self.kind in (NoiseKind.DELTA_ZERO,):
@@ -120,38 +116,3 @@ class NoiseLaw:
             weights = w * dens
             weights = weights / weights.sum()
         return nodes, weights
-
-
-class NoiseSequence:
-    """Lazy, cached, seeded stream omega = (eta_0, eta_1, ...).
-
-    `shifted(k)` returns a view advanced by k indices that shares the cache,
-    so the shift operator is an O(1) relabelling of the same realization.
-    """
-
-    def __init__(self, law: NoiseLaw, seed: int, _parent=None, _offset: int = 0):
-        self.law = law
-        self.seed = int(seed)
-        if _parent is None:
-            self._rng = np.random.default_rng(self.seed)
-            self._cache: list[float] = []
-            self._root = self
-        else:
-            self._root = _parent
-        self._offset = _offset
-
-    def value(self, k: int) -> float:
-        """eta_k of this (possibly shifted) stream."""
-        if k < 0:
-            raise DomainError("noise index must be >= 0")
-        root = self._root
-        idx = self._offset + k
-        while len(root._cache) <= idx:
-            root._cache.append(float(root.law.ppf(root._rng.random())))
-        return root._cache[idx]
-
-    def shifted(self, k: int = 1) -> "NoiseSequence":
-        if k < 0:
-            raise DomainError("shift must be >= 0")
-        return NoiseSequence(self.law, self.seed, _parent=self._root,
-                             _offset=self._offset + k)

@@ -30,6 +30,7 @@ from .section import (
 )
 
 _DEFAULT_BURN_IN = 1000
+_MIN_USED = 1000  # post-burn-in transitions the estimators need
 _N_BATCHES = 20  # batch means behind both estimators' standard errors
 _DRIFT_SLACK = 1e-9  # relative slack of the drift inequalities
 _CONJUGATION_THRESHOLD = 1e-7  # largest discrepancy the conjugation passes
@@ -164,10 +165,10 @@ def _roofs(trace: MarkovRenewalTrace, start: int) -> np.ndarray:
 
 def _n_used(trace: MarkovRenewalTrace, burn_in: int) -> int:
     n_used = len(trace) - burn_in
-    if trace.flow_t is None or n_used < _DEFAULT_BURN_IN:
+    if trace.flow_t is None or n_used < _MIN_USED:
         raise DomainError(
             f"stationary estimators need stored segments and at least "
-            f"{_DEFAULT_BURN_IN} transitions after burn-in, got {n_used}")
+            f"{_MIN_USED} transitions after burn-in, got {n_used}")
     return n_used
 
 

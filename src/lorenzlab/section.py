@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import FieldSpec, _solve, as_state, casimir
 from .errors import DomainError, HorizonExceeded, TangencyWarning
-from .noise import NoiseLaw, NoiseSequence
+from .noise import NoiseLaw
 
 _GUARD_TIME = 1e-6  # nudge used to leave the surface before event detection
 _GRID_STEP = 0.01  # sampling step of stored flow segments
@@ -96,10 +96,6 @@ class FlowSegment:
     y: np.ndarray
     eta: float
 
-    @property
-    def tau(self) -> float:
-        return float(self.t[-1])
-
 
 @dataclass
 class ReturnSample:
@@ -108,10 +104,6 @@ class ReturnSample:
     x: SectionEvent
     tau: float
     x_next: SectionEvent
-
-    @property
-    def eta(self) -> float:
-        return self.x_next.eta
 
 
 def surface_derivatives(fld: FieldSpec, y) -> tuple[float, float]:
@@ -351,22 +343,23 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
                  keep_segments: bool = False) -> MarkovRenewalTrace:
     """Simulate n steps of the embedded Markov chain on the section.
 
-    The amplitude stream omega = (eta_0, eta_1, ...) is seeded and lazy.
-    When x0 (SectionEvent or state) lies on M, sojourn k is driven by
-    eta_k. Otherwise eta_0 drives the approach to the first crossing and
-    the chain continues on the shifted stream, so every crossing is
-    followed by exactly one fresh draw. A failed crossing search re-raises
-    HorizonExceeded with the partial trace (valid=False) attached.
+    The amplitudes omega = (eta_0, ..., eta_n) are drawn at once as
+    law.ppf(default_rng(seed).random(n + 1)). When x0 (SectionEvent or
+    state) lies on M, sojourn k is driven by eta_k. Otherwise eta_0 drives
+    the approach to the first crossing and sojourn k by eta_{k+1}, so every
+    crossing is followed by exactly one fresh draw. A failed crossing
+    search re-raises HorizonExceeded with the partial trace (valid=False)
+    attached.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     y0 = as_state(x0.y if isinstance(x0, SectionEvent) else x0)
-    stream = NoiseSequence(law, seed)
+    omega = law.ppf(np.random.default_rng(seed).random(n + 1))
+    etas = omega[:n]
     pieces = []  # sampled (t, y) of each piece, None unless kept
     approach_eta = None
     sigma0 = 0.0
     xs = np.empty((n, 3))
-    etas = np.empty(n)
     taus = np.empty(n)
     cas = np.empty(n)
     tang = np.zeros(n, dtype=bool)
@@ -391,19 +384,17 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
 
     x_cur = y0
     if not on_section(section, y0):
-        approach_eta = stream.value(0)
+        approach_eta = float(omega[0])
         ev, piece = search(approach_eta, y0, 0, guard_first=False)
         pieces.append(piece)
         sigma0 = ev.t
         x_cur = ev.y
-        stream = stream.shifted(1)
+        etas = omega[1:]
 
     for k in range(n):
-        eta_k = stream.value(k)
         xs[k] = x_cur
-        etas[k] = eta_k
         cas[k] = casimir(x_cur)
-        ev, piece = search(eta_k, x_cur, k, guard_first=True)
+        ev, piece = search(float(etas[k]), x_cur, k, guard_first=True)
         taus[k] = ev.t
         tang[k] = ev.tangent
         pieces.append(piece)

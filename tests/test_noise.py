@@ -1,11 +1,11 @@
-"""Forcing-amplitude laws and indexed noise streams."""
+"""Forcing-amplitude laws."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lorenzlab import NoiseKind, NoiseLaw, NoiseSequence
+from lorenzlab import NoiseKind, NoiseLaw
 from lorenzlab.errors import DomainError
 
 
@@ -21,7 +21,7 @@ LAWS = [
 @pytest.mark.parametrize("law", LAWS, ids=lambda l: l.kind.name.lower())
 def test_samples_stay_in_support(law):
     rng = np.random.default_rng(0)
-    draws = law.sample(rng, size=2000)
+    draws = law.ppf(rng.random(2000))
     lo, hi = law.support
     assert np.all(draws >= lo - 1e-15)
     assert np.all(draws <= hi + 1e-15)
@@ -49,7 +49,7 @@ def test_delta_zero_is_constant():
     law = NoiseLaw.delta_zero()
     assert law.kind is NoiseKind.DELTA_ZERO
     rng = np.random.default_rng(1)
-    assert np.all(law.sample(rng, size=100) == 0.0)
+    assert np.all(law.ppf(rng.random(100)) == 0.0)
     nodes, weights = law.quadrature()
     assert nodes.tolist() == [0.0]
     assert weights.tolist() == [1.0]
@@ -58,7 +58,7 @@ def test_delta_zero_is_constant():
 def test_uniform_moments():
     law = NoiseLaw.uniform(0.3)
     rng = np.random.default_rng(2)
-    draws = law.sample(rng, size=200_000)
+    draws = law.ppf(rng.random(200_000))
     assert abs(draws.mean()) < 2e-3
     assert abs(draws.var() - 0.3**2 / 3.0) < 2e-3
     nodes, weights = law.quadrature(64)
@@ -93,28 +93,3 @@ def test_validation_errors():
         NoiseLaw.discrete((0.1, 0.2), weights=(0.7, 0.7))
     with pytest.raises(DomainError):
         NoiseLaw.trunc_gauss(0.0, 0.05)
-
-
-def test_sequence_reproducible_and_lazy():
-    law = NoiseLaw.uniform(0.05)
-    a = NoiseSequence(law, seed=7)
-    b = NoiseSequence(law, seed=7)
-    assert a.value(100) == b.value(100)
-    # order of access must not matter
-    c = NoiseSequence(law, seed=7)
-    tail = [c.value(k) for k in (5, 3, 9, 0)]
-    assert tail == [a.value(5), a.value(3), a.value(9), a.value(0)]
-    other = NoiseSequence(law, seed=8)
-    assert other.value(0) != a.value(0)
-
-
-def test_sequence_shift():
-    """Shifting the stream by n re-indexes it without redrawing."""
-    law = NoiseLaw.uniform(0.05)
-    seq = NoiseSequence(law, seed=3)
-    sh = seq.shifted(4)
-    for k in range(6):
-        assert sh.value(k) == seq.value(k + 4)
-    # first coordinate after one shift is the next raw value
-    assert seq.shifted(1).value(0) == seq.value(1)
-    assert seq.shifted(2).shifted(3).value(0) == seq.value(5)

@@ -72,6 +72,25 @@ def test_chain_reproducible(section, x_on_section):
     assert not np.array_equal(a.eta, c.eta)
 
 
+def test_amplitudes_are_one_uniform_draw(chain_med, chain_short, section,
+                                         y_start):
+    """Common random numbers: a chain with seed s and n transitions drives
+    its pieces with law.ppf(default_rng(s).random(n + 1)), element 0 on the
+    approach of an off-section start and the next n on the sojourns."""
+    gauss = sample_chain(NoiseLaw.trunc_gauss(0.025, 0.05), section, y_start,
+                         n=3, seed=4)
+    assert chain_short.approach_eta is None
+    assert chain_med.approach_eta is not None
+    for tr in (chain_short, chain_med, gauss):
+        n = len(tr)
+        omega = tr.law.ppf(np.random.default_rng(tr.seed).random(n + 1))
+        if tr.approach_eta is None:
+            np.testing.assert_array_equal(tr.eta, omega[:n])
+        else:
+            assert tr.approach_eta == omega[0]
+            np.testing.assert_array_equal(tr.eta, omega[1:])
+
+
 def test_chain_layout(chain_med, section):
     tr = chain_med
     n = len(tr.tau)
