@@ -30,6 +30,7 @@ from .errors import (
 )
 
 _BRANCH_BINS = 64  # log-distance bins per branch of an empirical map
+_MIN_PAIRS = 1000  # fewest successive-maxima pairs an empirical map accepts
 _FIT_POINTS = 40  # evaluation points in an exponent-fit window
 _DEFORMATION_RATE = 0.5  # cusp shift and branch tilt per unit eps
 _XTOL = 1e-14  # absolute width at which a branch-inversion bracket is closed
@@ -301,9 +302,9 @@ class _LogBranch:
 class EmpiricalCuspMap(IntervalMap):
     """Monotone-branch interpolant through binned successive-maxima pairs.
 
-    raw holds at least 1000 (m_n, m_next) pairs of successive maxima. They
-    are normalized affinely by robust (0.1% / 99.9%) quantiles, kept in
-    norm, and clipped to [0,1]. The cusp location is refined by a staged
+    raw holds at least _MIN_PAIRS (m_n, m_next) pairs of successive maxima.
+    They are normalized affinely by robust (0.1% / 99.9%) quantiles, kept
+    in norm, and clipped to [0,1]. The cusp location is refined by a staged
     power-law fit; each branch is interpolated in log-log coordinates
     around the cusp, which pins both the singular caps and the endpoint
     anchors T(0) = T(1) = 0.
@@ -313,8 +314,9 @@ class EmpiricalCuspMap(IntervalMap):
         raw = np.asarray(raw, dtype=float)
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise DomainError("pairs must have shape (n, 2)")
-        if len(raw) < 1000:
-            raise DomainError("at least 1000 successive-maxima pairs required")
+        if len(raw) < _MIN_PAIRS:
+            raise DomainError(f"at least {_MIN_PAIRS} successive-maxima pairs "
+                              f"required")
         lo = float(np.quantile(raw, 0.001))
         hi = float(np.quantile(raw, 0.999))
         if hi <= lo:

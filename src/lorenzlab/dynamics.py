@@ -103,11 +103,6 @@ class FieldSpec:
         """Constant part of the Casimir drift, (0, 0, -beta (zeta+gamma))."""
         return np.array([0.0, 0.0, -self.beta * self.shift])
 
-    @property
-    def saddle(self) -> np.ndarray:
-        """The hyperbolic critical point (the textbook origin)."""
-        return np.array([0.0, 0.0, -self.shift])
-
     def _terms(self, y1, y2, y3):
         """The three velocity components, for scalars or arrays."""
         z, b = self.zeta, self.beta

@@ -21,13 +21,13 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .cuspmap import SyntheticCuspMap, build_empirical_map, \
+from .cuspmap import _MIN_PAIRS, SyntheticCuspMap, build_empirical_map, \
     fit_branch_exponents
 from .dynamics import FieldSpec, absorption_rate, integrate, lyapunov_sweep
 from .errors import ConfigError
 from .manifest import RunManifest, _jsonable
 from .noise import NoiseLaw
-from .pdmp import _MIN_USED, PdmpTrajectory, drift_check, \
+from .pdmp import _MIN_PROBES, _MIN_USED, PdmpTrajectory, drift_check, \
     lifted_measure_probe, ratio_formula_estimate, suspension_conjugation_check
 from .plotting import Series, emit_plot
 from .section import SectionSpec, sample_chain, settle_on_attractor
@@ -96,6 +96,10 @@ def _run_attractor(cfg: ExperimentConfig, rdir: Path,
 
 def _run_cusp_map(cfg: ExperimentConfig, rdir: Path,
                   man: RunManifest) -> None:
+    # n_samples chain states give n_samples - 1 successive pairs
+    if cfg.n_samples - 1 < _MIN_PAIRS:
+        raise ConfigError(
+            f"n_samples must be >= {_MIN_PAIRS + 1} for the empirical map")
     fld = _field(cfg)
     sec = SectionSpec(field=fld, eps_box=cfg.eps_box)
     y0 = settle_on_attractor(fld)
@@ -163,6 +167,8 @@ def _run_stat_stability(cfg: ExperimentConfig, rdir: Path,
 
 
 def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
+    if cfg.probes < _MIN_PROBES:
+        raise ConfigError(f"probes must be >= {_MIN_PROBES}")
     sec, y0 = _chain_setup(cfg)
     law = _law(cfg, cfg.eps)
     trace = sample_chain(law, sec, y0, n=cfg.n_transitions, seed=cfg.seed,

@@ -81,11 +81,6 @@ class NoiseLaw:
             return (min(self.atoms), max(self.atoms))
         return (-self.eps, self.eps)
 
-    def mean(self) -> float:
-        if self.kind is NoiseKind.DISCRETE:
-            return float(np.dot(self.atoms, self.weights))
-        return 0.0
-
     def ppf(self, u):
         """Inverse CDF evaluated at uniform(0,1) draws."""
         u = np.asarray(u, dtype=float)

@@ -21,7 +21,6 @@ from .errors import DomainError
 from .noise import NoiseKind, NoiseLaw
 from .section import (
     MarkovRenewalTrace,
-    SectionEvent,
     SectionSpec,
     next_crossing,
     on_section,
@@ -36,6 +35,7 @@ _DRIFT_SLACK = 1e-9  # relative slack of the drift inequalities
 _CONJUGATION_THRESHOLD = 1e-7  # largest discrepancy the conjugation passes
 _MAX_MIN_CROSSINGS = 32  # conjugation probes stay inside the look-ahead
 _MAX_DRAWS_PER_PROBE = 100  # conjugation draws allowed per requested probe
+_MIN_PROBES = 100  # fewest conjugation probes the check accepts
 
 
 def _observe(f, ys: np.ndarray) -> np.ndarray:
@@ -70,8 +70,7 @@ class PdmpTrajectory:
 
     A view of the trace's stored flow: the states are the trace's flat
     flow_y, and the absolute times are flow_t plus each piece's start
-    time. Queries at intermediate times interpolate linearly on the stored
-    grid (default spacing 1e-2 time units).
+    time. The stored grid has spacing 1e-2 time units.
     """
 
     trace: MarkovRenewalTrace
@@ -80,8 +79,9 @@ class PdmpTrajectory:
 
     def __post_init__(self):
         tr = self.trace
-        if tr.flow_t is None:
-            raise DomainError("trajectory needs a trace with stored segments")
+        if tr.flow_t is None or not len(tr):
+            raise DomainError("trajectory needs a trace with stored segments "
+                              "and at least one transition")
         horizon = tr.sigma[-1] + tr.tau[-1]
         if not 0.0 < self.t_final <= horizon + 1e-12:
             raise DomainError("t_final must lie within the simulated horizon")
@@ -89,45 +89,8 @@ class PdmpTrajectory:
             np.append(0.0, tr.sigma)
         self._ts = tr.flow_t + np.repeat(starts, np.diff(tr.flow_offsets))
 
-    @property
-    def crossing_times(self) -> np.ndarray:
-        """Absolute times of all recorded crossings, final one included."""
-        return np.append(self.trace.sigma,
-                         self.trace.sigma[-1] + self.trace.tau[-1])
-
-    @property
-    def sigma0(self) -> float:
-        return self.trace.sigma0
-
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         return self._ts, self.trace.flow_y
-
-    def state(self, t: float) -> np.ndarray:
-        t = float(t)
-        if not 0.0 <= t <= self._ts[-1]:
-            raise DomainError(f"t={t} outside the simulated range")
-        return np.array([np.interp(t, self._ts, self.trace.flow_y[:, i])
-                         for i in range(3)])
-
-    def n_crossings(self, t: float) -> int:
-        """Renewal index at time t: the largest n with crossing time <= t.
-
-        Returns -1 during an approach phase that has not reached the
-        section yet. With this convention the sandwich
-        sigma[n] <= t < sigma[n + 1] holds at every probe time.
-        """
-        return int(np.searchsorted(self.crossing_times, t, side="right")) - 1
-
-    def age(self, t: float) -> float:
-        """Elapsed time since the last crossing (since start before it)."""
-        n = self.n_crossings(t)
-        return float(t) if n < 0 else float(t - self.crossing_times[n])
-
-    def active_eta(self, t: float) -> float:
-        n = self.n_crossings(t)
-        if n < 0 and self.trace.approach_eta is not None:
-            return float(self.trace.approach_eta)
-        return float(self.trace.eta[np.clip(n, 0, len(self.trace) - 1)])
 
     def time_average(self, f) -> "TimeAverage":
         """Trapezoidal time average of f up to t_final, with batch-means SE."""
@@ -139,22 +102,19 @@ class PdmpTrajectory:
         batch_means = np.diff(cum_at) / widths
         value = float(cum_at[-1]) / self.t_final
         se = float(np.std(batch_means, ddof=1)) / math.sqrt(_N_BATCHES)
-        return TimeAverage(value=value, se=se, t_final=self.t_final)
+        return TimeAverage(value=value, se=se)
 
 
 @dataclass(frozen=True)
 class TimeAverage:
     value: float
     se: float
-    t_final: float
 
 
 @dataclass(frozen=True)
 class RatioEstimate:
     value: float
     se: float
-    numerator: float
-    denominator: float
     n_used: int
 
 
@@ -191,8 +151,7 @@ def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
     ratios = np.array([np.mean(ints[a:b]) / np.mean(roofs[a:b])
                        for a, b in zip(cuts[:-1], cuts[1:])])
     se = float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
-    return RatioEstimate(value=num / den, se=se, numerator=num,
-                         denominator=den, n_used=n_used)
+    return RatioEstimate(value=num / den, se=se, n_used=n_used)
 
 
 def lifted_measure_probe(trace: MarkovRenewalTrace, f,
@@ -219,10 +178,6 @@ class EmpiricalMeasure:
     sojourns: np.ndarray
     law: NoiseLaw
     burn_in: int
-
-    @property
-    def total_mass(self) -> float:
-        return 1.0
 
     def integrate(self, phi) -> float:
         return float(np.mean(_observe(phi, self.points)))
@@ -352,20 +307,21 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     min_crossings > 0 only probes spanning at least that many crossings
     are kept; probes start in the first 48 of 112 transitions, so at most
     32 crossings leave them room inside the 64-transition look-ahead.
-    Raises DomainError when _MAX_DRAWS_PER_PROBE * probes draws yield
-    fewer than probes kept probes (every crossing tangent, for instance).
+    x is a state on the section. Raises DomainError when
+    _MAX_DRAWS_PER_PROBE * probes draws yield fewer than probes kept
+    probes (every crossing tangent, for instance).
 
     Both paths run at a refined integrator tolerance regardless of the
     ambient section settings: global integration error is amplified by
     the flow's sensitivity over multi-crossing spans, so the comparison
     needs more accuracy than routine chain sampling.
     """
-    if probes < 100:
-        raise DomainError("need at least 100 probes")
+    if probes < _MIN_PROBES:
+        raise DomainError(f"need at least {_MIN_PROBES} probes")
     if not 0 <= min_crossings <= _MAX_MIN_CROSSINGS:
         raise DomainError(
             f"min_crossings must lie in [0, {_MAX_MIN_CROSSINGS}]")
-    y_x = as_state(x.y if isinstance(x, SectionEvent) else x)
+    y_x = as_state(x)
     if not on_section(section, y_x):
         raise DomainError("base point must lie on the section")
 
@@ -423,8 +379,7 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
                 ev = next_crossing(section.forced(float(trace.eta[idx])),
                                    section, y_cur)
             else:
-                ev = return_map(section, y_cur,
-                                eta=float(trace.eta[idx])).x_next
+                ev = return_map(section, y_cur, eta=float(trace.eta[idx]))
             if ev.t > remaining:
                 y_cur = flow(idx, y_cur, remaining)
                 break

@@ -72,19 +72,13 @@ class SectionSpec:
 
 @dataclass
 class SectionEvent:
-    """A crossing: state on the surface, time since the query, diagnostics.
-
-    cdot is the surface function g at the event (meets root_tol), cddot its
-    time derivative along the active flow (negative at transversal
-    crossings), eta the forcing amplitude active at the crossing.
+    """A crossing: its time since the query, its state on the surface, and
+    whether dg/dt along the active flow fails to be clearly negative there
+    (a grazing crossing).
     """
 
     t: float
     y: np.ndarray
-    casimir: float
-    cdot: float
-    cddot: float
-    eta: float
     tangent: bool
 
 
@@ -95,15 +89,6 @@ class FlowSegment:
     t: np.ndarray
     y: np.ndarray
     eta: float
-
-
-@dataclass
-class ReturnSample:
-    """One application of the return map: x_next = flow_eta^tau(x)."""
-
-    x: SectionEvent
-    tau: float
-    x_next: SectionEvent
 
 
 def surface_derivatives(fld: FieldSpec, y) -> tuple[float, float]:
@@ -139,13 +124,12 @@ def _surface_event(fld: FieldSpec):
 
 def _make_event(section: SectionSpec, fld: FieldSpec, t_accum: float, y_ev,
                 warn: bool = True) -> SectionEvent:
-    g, gdot = surface_derivatives(fld, y_ev)
+    _, gdot = surface_derivatives(fld, y_ev)
     tangent = bool(abs(gdot) <= section.tangency_tol or gdot > 0)
     if tangent and warn:
         warnings.warn(f"near-tangential section crossing (dg/dt = {gdot:.3e})",
                       TangencyWarning, stacklevel=3)
-    return SectionEvent(t=t_accum, y=y_ev, casimir=casimir(y_ev), cdot=g,
-                        cddot=gdot, eta=fld.eta, tangent=tangent)
+    return SectionEvent(t=t_accum, y=y_ev, tangent=tangent)
 
 
 def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
@@ -232,24 +216,18 @@ def next_crossing(fld: FieldSpec, section: SectionSpec, y0) -> SectionEvent:
     return ev
 
 
-def return_map(section: SectionSpec, x, eta: float = 0.0) -> ReturnSample:
-    """One step of the random return map R_eta from a point on M.
+def return_map(section: SectionSpec, y, eta: float = 0.0) -> SectionEvent:
+    """One step of the random return map R_eta from a state y on M.
 
-    x may be a SectionEvent or a bare state on the section. The return
-    time is strictly positive: the search deliberately steps past the
-    trivial self-hit at t = 0.
+    Returns the next crossing, whose t is the return time. That time is
+    strictly positive: the search deliberately steps past the trivial
+    self-hit at t = 0. Raises DomainError when y is not on the section.
     """
-    fld = section.forced(eta)
-    if isinstance(x, SectionEvent):
-        x_ev, y = x, as_state(x.y)
-    else:
-        y = as_state(x)
-        x_ev = _make_event(section, fld, 0.0, y.copy(), warn=False)
     if not on_section(section, y):
         raise DomainError("return_map requires a starting point on the section")
-    ev, _ = _search(fld, section, y, want_segment=False, guard_first=True)
-    ev.t += x_ev.t
-    return ReturnSample(x=x_ev, tau=ev.t - x_ev.t, x_next=ev)
+    ev, _ = _search(section.forced(eta), section, y, want_segment=False,
+                    guard_first=True)
+    return ev
 
 
 @dataclass
@@ -286,13 +264,6 @@ class MarkovRenewalTrace:
         return len(self.tau)
 
     @property
-    def sigma0(self) -> float:
-        return float(self.sigma[0])
-
-    def x_next(self, n: int) -> np.ndarray:
-        return self.x[n + 1] if n + 1 < len(self.x) else self.x_end
-
-    @property
     def sojourn_offsets(self) -> np.ndarray:
         """Offsets of the sojourn pieces: sojourn n spans [o[n], o[n + 1])."""
         return self.flow_offsets[int(self.approach_eta is not None):]
@@ -319,15 +290,6 @@ class MarkovRenewalTrace:
             return None
         return self._views(self.flow_offsets[:2], [self.approach_eta])[0]
 
-    def continuity_defect(self) -> float:
-        """Max mismatch between stored x_n, x_{n+1} and sojourn endpoints."""
-        if self.flow_t is None or not len(self):
-            return 0.0
-        off = self.sojourn_offsets
-        x_next = np.vstack([self.x[1:], self.x_end])
-        return float(max(np.max(np.abs(self.flow_y[off[:-1]] - self.x)),
-                         np.max(np.abs(self.flow_y[off[1:] - 1] - x_next))))
-
     def write_jsonl(self, path) -> None:
         """One record per event: {n, t_abs, tau, eta, y, casimir}."""
         with Path(path).open("w") as fh:
@@ -344,16 +306,16 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
     """Simulate n steps of the embedded Markov chain on the section.
 
     The amplitudes omega = (eta_0, ..., eta_n) are drawn at once as
-    law.ppf(default_rng(seed).random(n + 1)). When x0 (SectionEvent or
-    state) lies on M, sojourn k is driven by eta_k. Otherwise eta_0 drives
-    the approach to the first crossing and sojourn k by eta_{k+1}, so every
-    crossing is followed by exactly one fresh draw. A failed crossing
-    search re-raises HorizonExceeded with the partial trace (valid=False)
-    attached.
+    law.ppf(default_rng(seed).random(n + 1)). When the state x0 lies on M,
+    sojourn k is driven by eta_k. Otherwise eta_0 drives the approach to
+    the first crossing and sojourn k by eta_{k+1}, so every crossing is
+    followed by exactly one fresh draw. The trace's casimir holds C(x_k),
+    computed from the stored states. A failed crossing search re-raises
+    HorizonExceeded with the partial trace (valid=False) attached.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    y0 = as_state(x0.y if isinstance(x0, SectionEvent) else x0)
+    y0 = as_state(x0)
     omega = law.ppf(np.random.default_rng(seed).random(n + 1))
     etas = omega[:n]
     pieces = []  # sampled (t, y) of each piece, None unless kept

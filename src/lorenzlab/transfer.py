@@ -57,10 +57,6 @@ class Density:
             raise DomainError("density must integrate to 1 within 1e-12")
         object.__setattr__(self, "values", v)
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return (np.arange(self.n_bins) + 0.5) / self.n_bins
-
 
 @dataclass(frozen=True)
 class UlamMatrix:

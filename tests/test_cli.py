@@ -101,12 +101,18 @@ class TestExitCodes:
         assert "not key=value" in capsys.readouterr().err
 
     def test_experiment_specific_validation_is_2(self, capsys, tmp_path):
-        # The stationary estimators need a margin over the burn-in; this
-        # is only checkable once the experiment is known.
-        rc = main(["pdmp", "-s", "n_transitions=1100",
-                   "-s", f"out_dir={tmp_path}"])
-        assert rc == 2
-        assert ">= 1000" in capsys.readouterr().err
+        # Each floor is only checkable once the experiment is known, and
+        # each is rejected before any chain is sampled: the stationary
+        # estimators need a margin over the burn-in, the conjugation check
+        # 100 probes, and the empirical map 1000 successive pairs.
+        for experiment, override, floor in (
+                ("pdmp", "n_transitions=1100", ">= 1000"),
+                ("pdmp", "probes=99", ">= 100"),
+                ("cusp-map", "n_samples=1000", ">= 1001")):
+            rc = main([experiment, "-s", override,
+                       "-s", f"out_dir={tmp_path}"])
+            assert rc == 2
+            assert floor in capsys.readouterr().err
 
     def test_runtime_failure_is_1_with_partial_manifest(self, capsys,
                                                         tmp_path):

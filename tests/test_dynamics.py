@@ -48,7 +48,6 @@ def test_classical_defaults(field):
     assert field.zeta == 10.0
     assert field.gamma == 28.0
     assert field.beta == pytest.approx(8.0 / 3.0)
-    np.testing.assert_array_equal(field.saddle, [0.0, 0.0, -38.0])
     assert field.shift == 38.0
     np.testing.assert_allclose(field.h0, [0.0, 0.0, -8.0 / 3.0 * 38.0])
 
@@ -66,8 +65,8 @@ def test_parameter_validation():
 
 def test_equilibria(field):
     # saddle: origin of the textbook coordinates
-    np.testing.assert_allclose(field.velocity(field.saddle), 0.0,
-                               atol=1e-12)
+    saddle = np.array([0.0, 0.0, -field.shift])
+    np.testing.assert_allclose(field.velocity(saddle), 0.0, atol=1e-12)
     # wing centers, shifted frame
     w = math.sqrt(field.beta * (field.gamma - 1.0))
     for s in (+1.0, -1.0):

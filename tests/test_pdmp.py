@@ -17,7 +17,7 @@ from lorenzlab import (
     sample_chain,
     suspension_conjugation_check,
 )
-from lorenzlab.errors import DomainError, TangencyWarning
+from lorenzlab.errors import DomainError, HorizonExceeded, TangencyWarning
 from lorenzlab.pdmp import (
     PdmpTrajectory,
     weak_probe_distance,
@@ -63,36 +63,71 @@ def test_delta_zero_matches_deterministic_flow(section, y_start, traj_det):
     assert np.max(np.abs(ys[keep] - ref.y)) < 1e-4
 
 
+def crossing_times(trace) -> np.ndarray:
+    """Absolute times of all recorded crossings, final one included."""
+    return np.append(trace.sigma, trace.sigma[-1] + trace.tau[-1])
+
+
+def n_crossings(trace, t: float) -> int:
+    """Renewal index at time t: the largest n with crossing time <= t.
+
+    Returns -1 during an approach phase that has not reached the section
+    yet. With this convention the sandwich sigma[n] <= t < sigma[n + 1]
+    holds at every probe time.
+    """
+    return int(np.searchsorted(crossing_times(trace), t, side="right")) - 1
+
+
+def age(trace, t: float) -> float:
+    """Elapsed time since the last crossing (since start before it)."""
+    n = n_crossings(trace, t)
+    return float(t) if n < 0 else float(t - crossing_times(trace)[n])
+
+
+def active_eta(trace, t: float) -> float:
+    """Amplitude driving the flow at time t."""
+    n = n_crossings(trace, t)
+    if n < 0 and trace.approach_eta is not None:
+        return float(trace.approach_eta)
+    return float(trace.eta[np.clip(n, 0, len(trace) - 1)])
+
+
+def state(traj, t: float) -> np.ndarray:
+    """State at time t, linearly interpolated on the trajectory's grid."""
+    ts, ys = traj.grid()
+    return np.array([np.interp(t, ts, ys[:, i]) for i in range(3)])
+
+
 def test_crossing_bookkeeping(traj_noisy):
     tr = traj_noisy.trace
+    times = crossing_times(tr)
     rng = np.random.default_rng(7)
     for t in rng.uniform(0.0, traj_noisy.t_final, 100):
-        n = traj_noisy.n_crossings(t)
-        times = traj_noisy.crossing_times
-        if t < traj_noisy.sigma0:
+        n = n_crossings(tr, t)
+        if t < tr.sigma[0]:
             assert n == -1
-            assert traj_noisy.age(t) == pytest.approx(t)
+            assert age(tr, t) == pytest.approx(t)
         else:
             # renewal sandwich around the probe time
             assert times[n] <= t < times[n + 1]
-            age = traj_noisy.age(t)
-            assert 0.0 <= age < tr.tau[n]
-            assert traj_noisy.active_eta(t) == tr.eta[n]
-    t = traj_noisy.sigma0 + 0.1
-    assert traj_noisy.n_crossings(t) == 0
-    assert traj_noisy.age(t) == pytest.approx(0.1, abs=1e-9)
+            assert 0.0 <= age(tr, t) < tr.tau[n]
+            assert active_eta(tr, t) == tr.eta[n]
+    t = tr.sigma[0] + 0.1
+    assert n_crossings(tr, t) == 0
+    assert age(tr, t) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_final_count_matches_recorded_crossings(traj_noisy):
-    n_t = traj_noisy.n_crossings(traj_noisy.t_final)
-    assert n_t == len(traj_noisy.trace.tau) - 1
-    assert traj_noisy.crossing_times[n_t] <= traj_noisy.t_final
+    tr = traj_noisy.trace
+    n_t = n_crossings(tr, traj_noisy.t_final)
+    assert n_t == len(tr.tau) - 1
+    assert crossing_times(tr)[n_t] <= traj_noisy.t_final
 
 
 def test_state_interpolation_continuous(traj_noisy):
-    for t in (traj_noisy.sigma0, traj_noisy.crossing_times[5]):
-        before = traj_noisy.state(t - 1e-9)
-        after = traj_noisy.state(t + 1e-9)
+    for t in (traj_noisy.trace.sigma[0], crossing_times(traj_noisy.trace)[5]):
+        before = state(traj_noisy, t - 1e-9)
+        after = state(traj_noisy, t + 1e-9)
         assert np.max(np.abs(after - before)) < 1e-5
 
 
@@ -254,9 +289,16 @@ def test_grid_is_a_view_of_the_trace(traj_noisy):
     assert len(ts) == len(traj_noisy.trace.flow_t)
 
 
-def test_trajectory_validation(chain_short):
+def test_trajectory_validation(chain_short, field, y_start):
     with pytest.raises(DomainError):
         PdmpTrajectory(trace=chain_short, t_final=-1.0)
     horizon = float(chain_short.sigma[-1] + chain_short.tau[-1])
     with pytest.raises(DomainError):
         PdmpTrajectory(trace=chain_short, t_final=horizon + 5.0)
+    # the partial trace of a failed approach holds no transition
+    short = SectionSpec(field, eps_box=25.0, t_max=0.05)
+    with pytest.raises(HorizonExceeded) as err:
+        sample_chain(NoiseLaw.delta_zero(), short, y_start, n=5, seed=0,
+                     keep_segments=True)
+    with pytest.raises(DomainError, match="at least one transition"):
+        PdmpTrajectory(trace=err.value.partial, t_final=0.01)

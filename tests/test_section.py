@@ -36,7 +36,6 @@ def test_crossing_lands_on_surface(section, y_start):
     cdot, cddot = surface_derivatives(fld, ev.y)
     assert abs(cdot) < 1e-6
     assert cddot < 0.0
-    assert ev.casimir == pytest.approx(casimir(ev.y))
 
 
 def test_on_section_start_short_circuits(section, x_on_section):
@@ -48,10 +47,15 @@ def test_on_section_start_short_circuits(section, x_on_section):
 def test_return_map_composition(section, x_on_section):
     """Two single steps equal one double step, up to solver error."""
     s1 = return_map(section, x_on_section, eta=0.0)
-    s2 = return_map(section, s1.x_next, eta=0.0)
+    s2 = return_map(section, s1.y, eta=0.0)
     direct = integrate(section.forced(0.0), x_on_section,
-                       s1.tau + s2.tau, t_eval=[s1.tau + s2.tau])
-    assert np.max(np.abs(direct.y[-1] - s2.x_next.y)) < 1e-6
+                       s1.t + s2.t, t_eval=[s1.t + s2.t])
+    assert np.max(np.abs(direct.y[-1] - s2.y)) < 1e-6
+
+
+def test_return_map_rejects_off_section_start(section, y_start):
+    with pytest.raises(DomainError, match="on the section"):
+        return_map(section, y_start)
 
 
 def test_return_times_plausible(section, chain_med):
@@ -104,6 +108,11 @@ def test_chain_layout(chain_med, section):
                                [casimir(xk) for xk in tr.x[:50]])
 
 
+def _x_next(trace) -> np.ndarray:
+    """x_{n+1} for every transition n: the next state, x_end after the last."""
+    return np.vstack([trace.x[1:], trace.x_end])
+
+
 def test_chain_states_match_segments(chain_short):
     tr = chain_short
     assert tr.segments is not None
@@ -111,7 +120,7 @@ def test_chain_states_match_segments(chain_short):
     for k in (0, 5, len(tr.tau) - 1):
         seg = tr.segments[k]
         np.testing.assert_allclose(seg.y[0], tr.x[k], atol=1e-9)
-        np.testing.assert_allclose(seg.y[-1], tr.x_next(k), atol=1e-9)
+        np.testing.assert_allclose(seg.y[-1], _x_next(tr)[k], atol=1e-9)
         assert seg.t[0] == 0.0
         assert seg.t[-1] == pytest.approx(tr.tau[k], abs=1e-9)
         assert seg.eta == tr.eta[k]
@@ -120,8 +129,16 @@ def test_chain_states_match_segments(chain_short):
         assert not seg.y.flags.writeable
 
 
+def continuity_defect(trace) -> float:
+    """Max mismatch between stored x_n, x_{n+1} and sojourn endpoints."""
+    off = trace.sojourn_offsets
+    return float(max(np.max(np.abs(trace.flow_y[off[:-1]] - trace.x)),
+                     np.max(np.abs(trace.flow_y[off[1:] - 1]
+                                   - _x_next(trace)))))
+
+
 def test_continuity_defect_small(chain_short):
-    assert chain_short.continuity_defect() < 1e-7
+    assert continuity_defect(chain_short) < 1e-7
 
 
 def test_continuity_defect_flags_moved_junction(chain_short):
@@ -130,19 +147,18 @@ def test_continuity_defect_flags_moved_junction(chain_short):
         moved = dataclasses.replace(chain_short,
                                     flow_y=chain_short.flow_y.copy())
         moved.flow_y[row, 1] += 1e-3
-        assert moved.continuity_defect() == pytest.approx(1e-3, rel=1e-3)
+        assert continuity_defect(moved) == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_off_section_start_records_approach(section, y_start):
     law = NoiseLaw.uniform(0.05)
     tr = sample_chain(law, section, y_start, n=5, seed=2,
                       keep_segments=True)
-    assert tr.sigma0 > 0.0
+    # the chain proper starts once the surface is reached
+    assert tr.sigma[0] > 0.0
     assert tr.approach is not None
     np.testing.assert_allclose(tr.approach.y[-1], tr.x[0], atol=1e-9)
-    assert tr.approach.t[-1] == pytest.approx(tr.sigma0, abs=1e-9)
-    # the chain proper starts once the surface is reached
-    assert tr.sigma[0] == pytest.approx(tr.sigma0)
+    assert tr.approach.t[-1] == pytest.approx(tr.sigma[0], abs=1e-9)
 
 
 def test_bad_start_rejected(field, x_on_section):
@@ -176,7 +192,6 @@ def test_failed_approach_attaches_partial_trace(field, y_start):
     np.testing.assert_array_equal(partial.x_end, y_start)
     assert partial.segments == []
     assert partial.approach is None
-    assert partial.continuity_defect() == 0.0
 
 
 def test_grazing_crossing_is_flagged(field, y_start):
