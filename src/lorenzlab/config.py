@@ -19,20 +19,6 @@ EXPERIMENTS = ("attractor", "cusp-map", "stat-stability", "pdmp",
 _NOISE_KINDS = ("delta_zero", "uniform", "discrete", "trunc_gauss")
 
 
-def _parse_ladder(text: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad ladder {text!r}: {exc}") from None
-    if not vals:
-        raise ConfigError("ladder must be non-empty")
-    if any(v < 0 for v in vals):
-        raise ConfigError("ladder entries must be >= 0")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("ladder must be strictly decreasing")
-    return vals
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated parameters for one named experiment run."""
@@ -66,6 +52,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be > 0")
         if self.eps < 0:
             raise ConfigError("eps must be >= 0")
+        if not self.eps_ladder:
+            raise ConfigError("ladder must be non-empty")
+        if not all(v > 0 for v in self.eps_ladder):
+            raise ConfigError("ladder entries must be > 0")
+        if any(b >= a for a, b in zip(self.eps_ladder, self.eps_ladder[1:])):
+            raise ConfigError("ladder must be strictly decreasing")
         for name in ("n_samples", "n_transitions", "probes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -90,9 +82,11 @@ _HELP = {
     "zeta": "first dissipation coefficient of the flow",
     "gamma": "forcing coefficient of the flow",
     "beta": "third dissipation coefficient of the flow",
-    "eps": "noise amplitude for single-amplitude experiments",
-    "eps_ladder": "comma-separated decreasing amplitudes for ladders",
-    "noise_kind": "one of " + ", ".join(_NOISE_KINDS),
+    "eps": "noise amplitude of the pdmp runner",
+    "eps_ladder": "comma-separated decreasing amplitudes > 0; stat-stability "
+                  "needs >= 3, stochastic-stability >= 2",
+    "noise_kind": "noise law of the pdmp runner (stochastic-stability always "
+                  "uses the two-atom law), one of " + ", ".join(_NOISE_KINDS),
     "seed": "base seed of the run's random streams (the unforced cusp-map "
             "chain and stat-stability draw none, so they ignore it)",
     "n_bins": "bin count for densities and transfer matrices",
@@ -107,9 +101,11 @@ _HELP = {
 
 
 def _coerce(name: str, value, current):
-    if name == "eps_ladder":
-        return value if isinstance(value, tuple) else _parse_ladder(value)
+    """Parse a value to its key's type; ExperimentConfig checks the result."""
     try:
+        if isinstance(current, tuple):
+            return value if isinstance(value, tuple) else \
+                tuple(float(v) for v in str(value).split(","))
         if isinstance(current, bool):
             raise TypeError("no boolean keys")
         if isinstance(current, int):

@@ -474,18 +474,14 @@ def _refine_peak(centers: np.ndarray, y: np.ndarray, top: int) -> float:
     return float(centers[top])
 
 
-def build_empirical_map(source) -> EmpiricalCuspMap:
-    """Cusp map from successive Casimir maxima.
+def build_empirical_map(trace) -> EmpiricalCuspMap:
+    """Cusp map from the successive Casimir maxima of a chain trace.
 
-    source is a MarkovRenewalTrace, whose consecutive Casimir values give
-    the pairs, or an (n,2) array of raw pairs.
+    The trace's consecutive Casimir values give the (m_n, m_next) pairs;
+    an array of raw pairs goes to EmpiricalCuspMap directly.
     """
-    if hasattr(source, "casimir") and hasattr(source, "tau"):
-        m = np.asarray(source.casimir, dtype=float)
-        source = np.column_stack([m[:-1], m[1:]])
-    elif not isinstance(source, np.ndarray):
-        raise DomainError("source must be a chain trace or an (n,2) array")
-    return EmpiricalCuspMap(source)
+    m = trace.casimir
+    return EmpiricalCuspMap(np.column_stack([m[:-1], m[1:]]))
 
 
 @dataclass(frozen=True)
@@ -737,20 +733,19 @@ def make_perturbed_family(m: IntervalMap, eps: float) -> SyntheticCuspMap:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One audited condition: measured value against its threshold.
+    """One audited condition: its measured value and whether it passed.
 
     passed is None for report-only checks that have no pass criterion.
     """
 
     passed: bool | None
     value: float
-    threshold: float | None
-    detail: str
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    eps: float
+    """The seven audited conditions of one perturbation, keyed by name."""
+
     checks: dict[str, CheckResult]
 
     @property
@@ -802,29 +797,23 @@ def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
 
     c0 = float(np.max(np.abs(base(grid) - pert(grid))))
     thr = 3.0 * eps_eff ** b_min
-    checks["uniform_closeness"] = CheckResult(
-        c0 <= thr, c0, thr, "sup |T_eps - T| on the grid")
+    checks["uniform_closeness"] = CheckResult(c0 <= thr, c0)
 
     ball = 0.05
     off = grid[(np.abs(grid - base.x0) > ball) & (np.abs(grid - pert.x0) > ball)]
     dclose = float(np.max(np.abs(base.derivative(off) - pert.derivative(off))))
     thr = 30.0 * eps_eff ** b_min
-    checks["derivative_closeness_off_cusp"] = CheckResult(
-        dclose <= thr, dclose, thr,
-        f"sup |T_eps' - T'| outside {ball}-balls at both cusps")
+    checks["derivative_closeness_off_cusp"] = CheckResult(dclose <= thr,
+                                                          dclose)
 
     fit = fit_holder_cross_bound(pert, n_pairs=n_pairs)
-    checks["derivative_cross_bound"] = CheckResult(
-        None, fit.iota, None,
-        f"fitted iota with c_h={fit.c_h:.3g}, worst ratio {fit.worst_ratio:.3g}")
+    checks["derivative_cross_bound"] = CheckResult(None, fit.iota)
 
     anatomy = cylinder_anatomy(pert)
     lo, hi = anatomy["b_right1"], anatomy["a_right0"]
     seg = np.linspace(lo + 1e-9, hi - 1e-9, 2048)
     floor = float(np.min(np.abs(pert.derivative(seg))))
-    checks["expansion_floor"] = CheckResult(
-        floor > 1.0, floor, 1.0,
-        f"inf |T_eps'| on ({lo:.4f}, {hi:.4f}) past the cusp")
+    checks["expansion_floor"] = CheckResult(floor > 1.0, floor)
 
     ygrid = np.linspace(0.01, 0.99, 99)
     horiz = 0.0
@@ -833,24 +822,19 @@ def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
         pp = getattr(pert, inv)(ygrid)
         horiz = max(horiz, float(np.max(np.abs(pb - pp))))
     thr = 5.0 * eps_eff
-    checks["horizontal_closeness"] = CheckResult(
-        horiz <= thr, horiz, thr, "sup |T_eps_i^-1 - T_i^-1| over both branches")
+    checks["horizontal_closeness"] = CheckResult(horiz <= thr, horiz)
 
     radius = max(math.sqrt(eps_eff), 2.0 * abs(base.x0 - pert.x0), 1e-3)
     far = grid[(np.abs(grid - base.x0) > radius)
                & (np.abs(grid - pert.x0) > radius)]
     vert = float(np.max(np.abs(base.derivative(far) - pert.derivative(far))))
     thr = 10.0 * eps_eff ** (b_min / 2.0)
-    checks["vertical_closeness_outside_ball"] = CheckResult(
-        vert <= thr, vert, thr,
-        f"sup |T_eps' - T'| outside radius {radius:.4g} exclusion balls")
+    checks["vertical_closeness_outside_ball"] = CheckResult(vert <= thr, vert)
 
     xl = np.linspace(1e-4, min(base.x0, pert.x0) - 1e-4, n_grid // 2)
     xr = np.linspace(max(base.x0, pert.x0) + 1e-4, 1.0 - 1e-4, n_grid // 2)
     crossings = (_interior_sign_changes(base(xl) - pert(xl))
                  + _interior_sign_changes(base(xr) - pert(xr)))
-    checks["branch_non_crossing"] = CheckResult(
-        crossings == 0, float(crossings), 0.0,
-        "interior sign changes of T_eps - T per branch")
-
-    return AuditReport(eps=float(eps), checks=checks)
+    checks["branch_non_crossing"] = CheckResult(crossings == 0,
+                                                float(crossings))
+    return AuditReport(checks=checks)

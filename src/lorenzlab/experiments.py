@@ -48,15 +48,15 @@ def _chain_setup(cfg: ExperimentConfig) -> tuple[SectionSpec, np.ndarray]:
     return SectionSpec(fld, cfg.eps_box), settle_on_attractor(fld)
 
 
-def _law(cfg: ExperimentConfig, eps: float) -> NoiseLaw:
-    if eps == 0.0 or cfg.noise_kind == "delta_zero":
+def _law(cfg: ExperimentConfig) -> NoiseLaw:
+    if cfg.eps == 0.0 or cfg.noise_kind == "delta_zero":
         return NoiseLaw.delta_zero()
     if cfg.noise_kind == "uniform":
-        return NoiseLaw.uniform(eps)
+        return NoiseLaw.uniform(cfg.eps)
     if cfg.noise_kind == "discrete":
         # asymmetric two-atom law, so the mean response stays first order
-        return NoiseLaw.discrete((eps / 2.0, eps))
-    return NoiseLaw.trunc_gauss(sigma=eps / 2.0, eps=eps)
+        return NoiseLaw.discrete((cfg.eps / 2.0, cfg.eps))
+    return NoiseLaw.trunc_gauss(sigma=cfg.eps / 2.0, eps=cfg.eps)
 
 
 def _casimir_obs(y: np.ndarray) -> np.ndarray:
@@ -170,7 +170,7 @@ def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
     if cfg.probes < _MIN_PROBES:
         raise ConfigError(f"probes must be >= {_MIN_PROBES}")
     sec, y0 = _chain_setup(cfg)
-    law = _law(cfg, cfg.eps)
+    law = _law(cfg)
     trace = sample_chain(law, sec, y0, n=cfg.n_transitions, seed=cfg.seed,
                          keep_segments=True)
     horizon = float(trace.sigma[-1] + trace.tau[-1])
@@ -272,7 +272,7 @@ def _run_stochastic_stability(cfg: ExperimentConfig, rdir: Path,
         rows.append((eps, value, se, abs(value - base_value), seed))
     diffs = np.array([r[3] for r in rows])
     man.add_check("averages-converge", bool(np.all(np.diff(diffs) < 0)),
-                  float(np.max(np.diff(diffs))) if len(diffs) > 1 else 0.0,
+                  float(np.max(np.diff(diffs))),
                   bound=0.0,
                   note="|avg(eps) - avg(0)| strictly decreasing")
 
@@ -306,6 +306,10 @@ def _run_full_suite(cfg: ExperimentConfig, rdir: Path,
             man.error = f"{name}: {sub.error}"
 
 
+# Fewest ladder rungs a runner can judge: the stat-stability Kendall trend
+# needs three, a strictly decreasing gap sequence two; full-suite runs both.
+_MIN_RUNGS = {"stat-stability": 3, "stochastic-stability": 2, "full-suite": 3}
+
 _RUNNERS = {
     "attractor": _run_attractor,
     "cusp-map": _run_cusp_map,
@@ -330,6 +334,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     other exception is recorded in a partial manifest with status
     "failed". The manifest is always written on non-config failures.
     """
+    need = _MIN_RUNGS.get(cfg.experiment, 1)
+    if len(cfg.eps_ladder) < need:
+        raise ConfigError(f"{cfg.experiment} needs >= {need} eps_ladder rungs")
     rdir = run_directory(cfg)
     for sub in ("data", "plots", "reports"):
         (rdir / sub).mkdir(parents=True, exist_ok=True)

@@ -94,10 +94,7 @@ class RunManifest:
 
 
 def _jsonable(obj):
+    """json default hook: numpy arrays and scalars become Python values."""
     if hasattr(obj, "tolist"):
         return obj.tolist()
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -6,7 +6,8 @@ continues. On top of the simulator sit two independent estimators of the
 stationary functional (time average along the trajectory and the
 sojourn-weighted ratio over the embedded chain), the drift inequality
 audit for the Casimir Lyapunov function, and a consistency check between
-flowing in the suspension picture and flowing in phase space.
+flowing in the suspension picture and flowing in phase space. Observables
+map (k, 3) states to (k,) values; any other shape raises DomainError.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ _MIN_PROBES = 100  # fewest conjugation probes the check accepts
 
 
 def _observe(f, ys: np.ndarray) -> np.ndarray:
-    """Evaluate an observable on (k, 3) states, vectorized when possible."""
-    try:
-        out = np.asarray(f(ys), dtype=float)
-        if out.shape == (len(ys),):
-            return out
-    except Exception:
-        pass
-    return np.array([float(f(y)) for y in ys])
+    """Values of an observable f, which maps (k, 3) states to (k,) values."""
+    out = np.asarray(f(ys), dtype=float)
+    if out.shape != (len(ys),):
+        raise DomainError(f"an observable must map (k, 3) states to (k,) "
+                          f"values, got shape {out.shape}")
+    return out
 
 
 def _trapezoid_terms(f, t: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -140,7 +139,7 @@ def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
     the sojourn. Denominator: mean of the sojourn lengths, taken as the
     same quadrature of f = 1 (the roof), so f = 1 gives exactly 1 with a
     zero standard error. The standard error comes from batch means of the
-    per-batch ratios.
+    per-batch ratios. f maps (k, 3) states to (k,) values.
     """
     n_used = _n_used(trace, burn_in)
     ints = _sojourn_integrals(f, trace, burn_in)
@@ -163,7 +162,7 @@ def lifted_measure_probe(trace: MarkovRenewalTrace, f,
     quadrature as ratio_formula_estimate, the roof as the quadrature of
     f = 1, and are summed with compensated (math.fsum) sums, so the
     comparison with the ratio estimate isolates plain against compensated
-    summation.
+    summation. f maps (k, 3) states to (k,) values.
     """
     _n_used(trace, burn_in)
     under_roof = _sojourn_integrals(f, trace, burn_in)

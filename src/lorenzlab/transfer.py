@@ -24,12 +24,7 @@ from scipy import sparse
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 from scipy.stats import kendalltau
 
-from .cuspmap import (
-    AuditReport,
-    IntervalMap,
-    audit_assumptions,
-    make_perturbed_family,
-)
+from .cuspmap import IntervalMap, audit_assumptions, make_perturbed_family
 from .errors import (
     ConstructionError,
     DomainError,
@@ -42,20 +37,26 @@ from .noise import NoiseLaw
 
 @dataclass(frozen=True)
 class Density:
-    """Piecewise-constant probability density on n_bins equal bins."""
+    """Piecewise-constant probability density on equal bins of [0, 1].
+
+    values holds one density value per bin; the bin count is its length.
+    """
 
     values: np.ndarray
-    n_bins: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.n_bins,):
-            raise ShapeError("values must have shape (n_bins,)")
+        if v.ndim != 1:
+            raise ShapeError("density values must be 1-d")
         if np.any(v < -1e-14):
             raise DomainError("density values must be non-negative")
-        if abs(float(np.sum(v)) / self.n_bins - 1.0) > 1e-12:
+        if abs(float(np.sum(v)) / len(v) - 1.0) > 1e-12:
             raise DomainError("density must integrate to 1 within 1e-12")
         object.__setattr__(self, "values", v)
+
+    @property
+    def n_bins(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -64,16 +65,22 @@ class UlamMatrix:
 
     Entry (i, j) is the fraction of basis function i carried into basis
     function j: hat functions for build_ulam, bin indicators
-    (Leb(bin_i ∩ T^-1 bin_j)/Leb(bin_i)) for build_ulam_exact.
+    (Leb(bin_i ∩ T^-1 bin_j)/Leb(bin_i)) for build_ulam_exact. The
+    matrix is square, and the bin count is its number of rows.
     """
 
     matrix: sparse.csr_matrix
-    n_bins: int
 
     def __post_init__(self):
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ShapeError("an Ulam matrix must be square")
         rs = np.asarray(self.matrix.sum(axis=1)).ravel()
         if np.max(np.abs(rs - 1.0)) > 1e-10:
             raise ShapeError("rows of an Ulam matrix must sum to 1")
+
+    @property
+    def n_bins(self) -> int:
+        return self.matrix.shape[0]
 
     def apply_to_density(self, values: np.ndarray) -> np.ndarray:
         """Push bin values forward by the discretized transfer operator."""
@@ -152,7 +159,7 @@ def build_ulam(m, n_bins: int) -> UlamMatrix:
     receivers = _hat_values(np.clip(vals, 0.0, 1.0), n_bins)
     mat = (senders @ receivers) / _N_SUB
     mat.sum_duplicates()
-    return UlamMatrix(matrix=mat, n_bins=n_bins)
+    return UlamMatrix(matrix=mat)
 
 
 def build_ulam_exact(m: IntervalMap, n_bins: int) -> UlamMatrix:
@@ -193,7 +200,7 @@ def build_ulam_exact(m: IntervalMap, n_bins: int) -> UlamMatrix:
     mat = sparse.coo_matrix((vals, (rows, cols)),
                             shape=(n_bins, n_bins)).tocsr()
     mat.sum_duplicates()
-    return UlamMatrix(matrix=mat, n_bins=n_bins)
+    return UlamMatrix(matrix=mat)
 
 
 def stationary_density(p: UlamMatrix, max_iter: int = 100_000) -> Density:
@@ -213,15 +220,13 @@ def stationary_density(p: UlamMatrix, max_iter: int = 100_000) -> Density:
             "iterations")
     mass = np.maximum(mass, 0.0)
     mass /= mass.sum()
-    return Density(values=mass * p.n_bins, n_bins=p.n_bins)
+    return Density(values=mass * p.n_bins)
 
 
-def l1_distance(d1, d2) -> float:
-    v1 = d1.values if isinstance(d1, Density) else np.asarray(d1, dtype=float)
-    v2 = d2.values if isinstance(d2, Density) else np.asarray(d2, dtype=float)
-    if v1.shape != v2.shape:
+def l1_distance(d1: Density, d2: Density) -> float:
+    if d1.n_bins != d2.n_bins:
         raise ShapeError("densities must share the bin grid")
-    return float(np.sum(np.abs(v1 - v2))) / len(v1)
+    return float(np.sum(np.abs(d1.values - d2.values))) / d1.n_bins
 
 
 def _parallel_orbits(m, n_points: int, seed: int):
@@ -250,7 +255,7 @@ def birkhoff_histogram(m, n_points: int, n_bins: int,
         idx = np.clip(np.digitize(x, edges) - 1, 0, n_bins - 1)
         counts += np.bincount(idx, minlength=n_bins)
     mass = counts / counts.sum()
-    return Density(values=mass * n_bins, n_bins=n_bins)
+    return Density(values=mass * n_bins)
 
 
 @dataclass(frozen=True)
@@ -258,7 +263,6 @@ class StabilityEntry:
     eps: float
     distance: float
     audit_passed: bool
-    audit: AuditReport
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,6 @@ class StabilityReport:
     entries: tuple[StabilityEntry, ...]
     kendall_tau: float
     monotone: bool
-    n_bins: int
 
     def distances(self) -> np.ndarray:
         return np.array([e.distance for e in self.entries])
@@ -295,13 +298,12 @@ def statistical_stability_experiment(base: IntervalMap, eps_ladder,
         rho_eps = stationary_density(build_ulam(pert, n_bins))
         entries.append(StabilityEntry(eps=eps,
                                       distance=l1_distance(rho, rho_eps),
-                                      audit_passed=audit.all_passed,
-                                      audit=audit))
+                                      audit_passed=audit.all_passed))
     dist = [e.distance for e in entries]
     tau = kendalltau(eps_ladder, dist).statistic if len(dist) > 2 else float("nan")
     monotone = all(b < a for a, b in zip(dist, dist[1:]))
     return StabilityReport(entries=tuple(entries), kendall_tau=float(tau),
-                           monotone=monotone, n_bins=n_bins)
+                           monotone=monotone)
 
 
 def averaged_transfer_operator(family, law: NoiseLaw,
@@ -317,19 +319,19 @@ def averaged_transfer_operator(family, law: NoiseLaw,
     for eta, w in zip(nodes, weights):
         p = build_ulam(family(float(eta)), n_bins)
         acc = w * p.matrix if acc is None else acc + w * p.matrix
-    return UlamMatrix(matrix=acc.tocsr(), n_bins=n_bins)
+    return UlamMatrix(matrix=acc.tocsr())
 
 
-def quasi_holder_seminorm(d, alpha: float, eps0: float) -> float:
+def quasi_holder_seminorm(values: np.ndarray, alpha: float,
+                          eps0: float) -> float:
     """Discrete oscillation seminorm over dyadic window radii.
 
     For each radius the per-bin oscillation is taken over a sliding window
     whose half-width rounds the radius up to whole bins (one bin of slack,
     so the discrete window always contains the continuum ball and the
     sup-norm embedding stays valid). The seminorm is the sup over radii of
-    the scaled mean oscillation.
+    the scaled mean oscillation. values holds one value per bin.
     """
-    values = d.values if isinstance(d, Density) else np.asarray(d, dtype=float)
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     if not 0.0 < eps0 <= 0.5:
@@ -347,9 +349,8 @@ def quasi_holder_seminorm(d, alpha: float, eps0: float) -> float:
     return best
 
 
-def quasi_holder_norm(d, alpha: float, eps0: float) -> float:
-    """Seminorm plus the L1 norm."""
-    values = d.values if isinstance(d, Density) else np.asarray(d, dtype=float)
+def quasi_holder_norm(values: np.ndarray, alpha: float, eps0: float) -> float:
+    """Seminorm plus the L1 norm of the bin values."""
     return quasi_holder_seminorm(values, alpha, eps0) + float(
         np.sum(np.abs(values))) / len(values)
 
@@ -466,18 +467,14 @@ class PianigianiReport:
 
     The interval I straddles the cusp between the two preimages of x0;
     cylinders Z_p collect points whose excursion re-enters I after exactly
-    p steps. mu_I is the visit frequency of I (with a chain-based standard
-    error), mean_return the Kac mean of the return time under the induced
-    measure; their product sits near 1 when the scheme is consistent.
+    p steps, and coverage is the share of points in I that they resolve.
+    kac_product is the visit frequency mu_I of I (standard error mu_i_se)
+    times mean_return, the Kac mean return time under the induced measure;
+    it sits near 1 when the scheme is consistent. scaling_* fit the left
+    cuts' approach to the cusp against its theory slope.
     """
 
-    a_left: np.ndarray
-    a_right: np.ndarray
-    b_left: np.ndarray
-    b_right: np.ndarray
-    tau_max: int
     coverage: float
-    mu_i: float
     mu_i_se: float
     mean_return: float
     kac_product: float
@@ -489,32 +486,31 @@ class PianigianiReport:
 
 
 def _inverse_sequences(m: IntervalMap, p_max: int):
-    """Boundary sequences of the inducing scheme by inverse-branch iteration.
+    """Interval ends and cylinder cuts by inverse-branch iteration.
 
-    Stops early once the cylinder cuts approach the cusp to within float
-    resolution; the effective depth is the length of the returned arrays
+    Returns the ends of I (the two preimages of x0) and the left and right
+    cylinder cuts. Stops early once the cuts approach the cusp to within
+    float resolution; the effective depth is the length of the cut arrays
     minus one.
     """
-    a_left = [m.inverse_left(m.x0)]    # marching down to 0
-    a_right = [m.inverse_right(m.x0)]  # marching up to 1
-    b_left = [a_left[0]]               # cylinder cuts left of the cusp
-    b_right = [a_right[0]]             # cylinder cuts right of the cusp
-    for p in range(1, p_max + 1):
-        nl = m.inverse_left(a_right[p - 1])
-        nr = m.inverse_right(a_right[p - 1])
+    i_lo, i_hi = m.inverse_left(m.x0), m.inverse_right(m.x0)
+    a_left, a_right = i_lo, i_hi  # marching down to 0 and up to 1
+    b_left, b_right = [i_lo], [i_hi]  # cylinder cuts left and right of x0
+    for _ in range(p_max):
+        nl = m.inverse_left(a_right)
+        nr = m.inverse_right(a_right)
         if (m.x0 - nl) < 1e-13 or (nr - m.x0) < 1e-13:
             break
-        a_left.append(m.inverse_left(a_left[-1]))
-        a_right.append(m.inverse_right(a_left[p - 1]))
+        a_left, a_right = m.inverse_left(a_left), m.inverse_right(a_left)
         b_left.append(nl)
         b_right.append(nr)
-        if not (0.0 < a_left[-1] < a_right[-1] < 1.0):
+        if not (0.0 < a_left < a_right < 1.0):
             raise ConstructionError("inverse-branch iteration left (0,1)")
     bl = np.array(b_left)
     br = np.array(b_right)
     if np.any(np.diff(bl) <= 0) or np.any(np.diff(br) >= 0):
         raise ConstructionError("cylinder boundaries are not nested")
-    return np.array(a_left), np.array(a_right), bl, br
+    return i_lo, i_hi, bl, br
 
 
 def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
@@ -528,9 +524,8 @@ def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
     cylinder cuts, whose log-slope is fixed by the left endpoint slope and
     cusp exponent.
     """
-    a_left, a_right, b_left, b_right = _inverse_sequences(m, p_max)
+    i_lo, i_hi, b_left, b_right = _inverse_sequences(m, p_max)
     p_max = len(b_left) - 1
-    i_lo, i_hi = a_left[0], a_right[0]
 
     in_i, samples = [], []
     for x in _parallel_orbits(m, n_orbit, seed=0):
@@ -574,7 +569,7 @@ def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
             hist += np.bincount(idx, minlength=n_bins)
             cur = np.clip(np.asarray(m(cur), dtype=float), 1e-12, 1.0 - 1e-12)
     mass = hist / hist.sum()
-    density = Density(values=mass * n_bins, n_bins=n_bins)
+    density = Density(values=mass * n_bins)
 
     keep = (m.x0 - b_left) > 1e-12
     ps = np.arange(len(b_left))[keep]
@@ -597,8 +592,7 @@ def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
                     else float("nan"))
 
     return PianigianiReport(
-        a_left=a_left, a_right=a_right, b_left=b_left, b_right=b_right,
-        tau_max=p_max, coverage=coverage, mu_i=mu_i, mu_i_se=mu_i_se,
-        mean_return=mean_return, kac_product=kac_product, density=density,
+        coverage=coverage, mu_i_se=mu_i_se, mean_return=mean_return,
+        kac_product=kac_product, density=density,
         scaling_slope=slope, scaling_slope_theory=slope_theory,
         scaling_r2=r2, truncated=truncated)

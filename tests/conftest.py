@@ -4,7 +4,6 @@ Chain sampling is the expensive part of the suite, so anything longer
 than a handful of transitions is session-scoped and shared.
 """
 
-import numpy as np
 import pytest
 
 from lorenzlab import (
@@ -50,11 +49,3 @@ def chain_short(section, x_on_section):
     law = NoiseLaw.uniform(0.05)
     return sample_chain(law, section, x_on_section, n=60, seed=9,
                         keep_segments=True)
-
-
-def assert_close(actual, expected, atol=0.0, rtol=0.0, label=""):
-    actual = np.asarray(actual, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    err = np.max(np.abs(actual - expected))
-    bound = atol + rtol * np.max(np.abs(expected))
-    assert err <= bound, f"{label}: |err| = {err:.3e} > {bound:.3e}"

@@ -87,7 +87,7 @@ def chain_u005(section, y_start):
 def arcsine_density(n_bins):
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     cdf = (2.0 / np.pi) * np.arcsin(np.sqrt(edges))
-    return Density(values=n_bins * np.diff(cdf), n_bins=n_bins)
+    return Density(values=n_bins * np.diff(cdf))
 
 
 def test_01_casimir_bound_sweep_clean(field):
@@ -137,7 +137,7 @@ def test_04_ulam_correctness():
     def tent(x):
         return 1.0 - np.abs(1.0 - 2.0 * x)
 
-    uniform = Density(values=np.ones(1024), n_bins=1024)
+    uniform = Density(values=np.ones(1024))
     for m in (doubling, tent):
         t0 = time.perf_counter()
         d = stationary_density(build_ulam(m, 1024))
@@ -283,8 +283,8 @@ def test_13_quasi_holder_embedding():
         widths = np.diff(np.concatenate([[0], edges, [n_bins]]))
         values = np.repeat(rng.gamma(0.7, size=k) + 1e-3, widths)
         values /= values.mean()
-        d = Density(values=values, n_bins=n_bins)
-        assert values.max() <= c_s * quasi_holder_norm(d, alpha, eps0) + 1e-12
+        d = Density(values=values)
+        assert values.max() <= c_s * quasi_holder_norm(d.values, alpha, eps0) + 1e-12
 
 
 def test_14_artifact_determinism(tmp_path, capsys):

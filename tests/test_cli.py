@@ -6,6 +6,7 @@ import pytest
 
 from lorenzlab.cli import main
 from lorenzlab.config import (
+    ExperimentConfig,
     load_config,
     make_config,
     read_config_file,
@@ -51,8 +52,17 @@ class TestConfigParsing:
             make_config({"eps": "plenty"})
 
     def test_ladder_must_decrease(self):
-        with pytest.raises(ConfigError, match="strictly decreasing"):
-            make_config({"eps_ladder": "0.1,0.1,0.05"})
+        # a tuple is checked like parsed text
+        for ladder in ("0.1,0.1,0.05", (0.01, 0.1, 0.05)):
+            with pytest.raises(ConfigError, match="strictly decreasing"):
+                make_config({"eps_ladder": ladder})
+
+    def test_ladder_rungs_positive_and_present(self):
+        for ladder in ((0.01, 0.1, -0.5), "0.1,0.05,0"):
+            with pytest.raises(ConfigError, match="must be > 0"):
+                make_config({"eps_ladder": ladder})
+        with pytest.raises(ConfigError, match="non-empty"):
+            ExperimentConfig(eps_ladder=())
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ConfigError, match="eps must be >= 0"):
@@ -104,11 +114,17 @@ class TestExitCodes:
         # Each floor is only checkable once the experiment is known, and
         # each is rejected before any chain is sampled: the stationary
         # estimators need a margin over the burn-in, the conjugation check
-        # 100 probes, and the empirical map 1000 successive pairs.
+        # 100 probes, the empirical map 1000 successive pairs, the Kendall
+        # trend three rungs and a decreasing gap sequence two.
         for experiment, override, floor in (
                 ("pdmp", "n_transitions=1100", ">= 1000"),
                 ("pdmp", "probes=99", ">= 100"),
-                ("cusp-map", "n_samples=1000", ">= 1001")):
+                ("cusp-map", "n_samples=1000", ">= 1001"),
+                ("stat-stability", "eps_ladder=0.1,0.05,0", "> 0"),
+                ("stat-stability", "eps_ladder=0.1", ">= 3"),
+                ("stat-stability", "eps_ladder=0.1,0.05", ">= 3"),
+                ("stochastic-stability", "eps_ladder=0.1", ">= 2"),
+                ("full-suite", "eps_ladder=0.1,0.05", ">= 3")):
             rc = main([experiment, "-s", override,
                        "-s", f"out_dir={tmp_path}"])
             assert rc == 2

@@ -11,7 +11,6 @@ from lorenzlab.cuspmap import (
     IntervalMap,
     SyntheticCuspMap,
     audit_assumptions,
-    build_empirical_map,
     cylinder_anatomy,
     find_expanding_conjugation,
     fit_branch_exponents,
@@ -221,13 +220,13 @@ def test_inverse_raises_when_bracket_cannot_close():
 def test_round_trip_uniform_samples(synth):
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.0, 1.0, 20_000)
-    emp = build_empirical_map(np.column_stack([xs, synth(xs)]))
+    emp = EmpiricalCuspMap(np.column_stack([xs, synth(xs)]))
     assert _matched_sup(emp, synth) < 0.01
 
 
 def test_round_trip_orbit(synth):
     """Orbit data censors the top quantile, so the cusp cap is fuzzier."""
-    emp = build_empirical_map(_orbit_pairs(synth, 20_000))
+    emp = EmpiricalCuspMap(_orbit_pairs(synth, 20_000))
     lo, hi = emp.norm
     assert abs(emp.x0 - (synth.x0 - lo) / (hi - lo)) < 1e-3
     assert _matched_sup(emp, synth) < 0.05
@@ -235,13 +234,13 @@ def test_round_trip_orbit(synth):
 
 def test_build_requires_1000_pairs(synth):
     with pytest.raises(DomainError):
-        build_empirical_map(_orbit_pairs(synth, 800))
+        EmpiricalCuspMap(_orbit_pairs(synth, 800))
 
 
 def test_build_rejects_three_columns(synth):
     pairs = _orbit_pairs(synth, 2000)
     with pytest.raises(DomainError):
-        build_empirical_map(np.column_stack([pairs, pairs[:, 0]]))
+        EmpiricalCuspMap(np.column_stack([pairs, pairs[:, 0]]))
 
 
 def test_bimodal_scatter_rejected():
@@ -252,12 +251,11 @@ def test_bimodal_scatter_rejected():
                  0.9 - 3.0 * np.abs(x - 0.75))
     y = np.clip(y + rng.normal(0.0, 0.01, x.size), 0.0, 1.0)
     with pytest.raises(ShapeError):
-        build_empirical_map(np.column_stack([x, y]))
+        EmpiricalCuspMap(np.column_stack([x, y]))
 
 
 def test_empirical_export(tmp_path, synth):
-    emp = build_empirical_map(_orbit_pairs(synth, 3000))
-    assert isinstance(emp, EmpiricalCuspMap)
+    emp = EmpiricalCuspMap(_orbit_pairs(synth, 3000))
     assert 0.0 < emp.x0 < 1.0
     csv = tmp_path / "scatter.csv"
     emp.write_scatter_csv(csv)

@@ -8,7 +8,6 @@ import pytest
 from lorenzlab import (
     NoiseLaw,
     SectionSpec,
-    casimir,
     drift_check,
     empirical_stationary_measure,
     integrate,
@@ -149,12 +148,13 @@ def test_time_average_normalization(traj_noisy):
     assert est.se == 0.0
 
 
-def test_time_average_function_wrapper(section, y_start):
-    """A scalar observable, evaluated one state at a time."""
-    est = _trajectory(NoiseLaw.delta_zero(), section, y_start, n=39,
-                      seed=1, t_final=30.0).time_average(casimir)
-    assert 300.0 < est.value < 600.0
-    assert est.se > 0.0
+def test_observable_of_wrong_shape_rejected(traj_noisy, chain_med):
+    """An observable maps (k, 3) states to (k,) values, not (k, 1)."""
+    column = lambda y: np.einsum("ij,ij->i", y, y)[:, None]
+    with pytest.raises(DomainError, match="observable"):
+        traj_noisy.time_average(column)
+    with pytest.raises(DomainError, match="observable"):
+        ratio_formula_estimate(column, chain_med, burn_in=100)
 
 
 def test_ratio_normalization(chain_med):
@@ -180,7 +180,7 @@ def test_estimator_duality(chain_med):
     ratio = ratio_formula_estimate(cas, chain_med, burn_in=100)
     direct = PdmpTrajectory(
         trace=chain_med, t_final=float(chain_med.sigma[-1] * 0.75)
-    ).time_average(casimir)
+    ).time_average(cas)
     gap = abs(ratio.value - direct.value)
     assert gap < 3.0 * math.hypot(ratio.se, direct.se)
 

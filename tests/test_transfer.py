@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lorenzlab.cuspmap import SyntheticCuspMap, make_perturbed_family
-from lorenzlab.errors import DomainError, SpectralError, TruncationWarning
+from lorenzlab.errors import (DomainError, ShapeError, SpectralError,
+                              TruncationWarning)
 from lorenzlab.noise import NoiseLaw
 from lorenzlab.transfer import (
     Density,
@@ -41,11 +43,11 @@ def logistic(x):
 def arcsine_density(n_bins):
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     cdf = (2.0 / np.pi) * np.arcsin(np.sqrt(edges))
-    return Density(values=n_bins * np.diff(cdf), n_bins=n_bins)
+    return Density(values=n_bins * np.diff(cdf))
 
 
 def uniform_density(n_bins):
-    return Density(values=np.ones(n_bins), n_bins=n_bins)
+    return Density(values=np.ones(n_bins))
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,19 @@ def test_build_ulam_validation():
         build_ulam(doubling, 8)
     with pytest.raises(DomainError):
         build_ulam(lambda x: 2.0 * x, 64)
+
+
+def test_density_values_must_be_1d():
+    assert uniform_density(64).n_bins == 64
+    with pytest.raises(ShapeError):
+        Density(values=np.ones((4, 16)))
+
+
+def test_ulam_matrix_must_be_square():
+    """Rows of 0.2 sum to 1, so only the shape check can refuse 3 x 5."""
+    assert build_ulam(doubling, 64).n_bins == 64
+    with pytest.raises(ShapeError):
+        UlamMatrix(matrix=sparse.csr_matrix(np.full((3, 5), 0.2)))
 
 
 def _csr_equal(p, q):
@@ -185,11 +200,11 @@ def test_quasi_holder_indicator_value():
     vals = np.zeros(1024)
     vals[256:512] = 1.0
     height = 1.0 / vals.mean()
-    d = Density(values=vals * height, n_bins=1024)
+    d = Density(values=vals * height)
     expected = 4.0 * height * 0.125 ** 0.5
-    assert quasi_holder_seminorm(d, 0.5, 0.125) == pytest.approx(
+    assert quasi_holder_seminorm(d.values, 0.5, 0.125) == pytest.approx(
         expected, rel=0.02)
-    assert quasi_holder_norm(d, 0.5, 0.125) == pytest.approx(
+    assert quasi_holder_norm(d.values, 0.5, 0.125) == pytest.approx(
         expected + 1.0, rel=0.02)
 
 
@@ -197,10 +212,10 @@ def test_quasi_holder_smooth_small():
     g = (np.arange(512) + 0.5) / 512
     vals = 1.0 + 0.2 * np.sin(2.0 * np.pi * g)
     vals /= vals.mean()
-    d = Density(values=vals, n_bins=512)
+    d = Density(values=vals)
     # Lipschitz density: oscillation integral is O(eps^2), seminorm
     # sup eps^(1-alpha) * Lip stays below ~ 0.5
-    assert quasi_holder_seminorm(d, 0.5, 0.125) < 1.0
+    assert quasi_holder_seminorm(d.values, 0.5, 0.125) < 1.0
 
 
 def test_sup_norm_embedding():
@@ -211,8 +226,8 @@ def test_sup_norm_embedding():
         v = rng.gamma(0.7, size=256)
         v = np.maximum(v, 1e-12)
         v /= v.mean()
-        d = Density(values=v, n_bins=256)
-        assert v.max() <= c_s * quasi_holder_norm(d, 0.5, 0.125) + 1e-12
+        d = Density(values=v)
+        assert v.max() <= c_s * quasi_holder_norm(d.values, 0.5, 0.125) + 1e-12
 
 
 def test_lasota_yorke_probe_contracts():
