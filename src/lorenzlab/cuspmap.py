@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -350,12 +349,6 @@ class EmpiricalCuspMap(IntervalMap):
         out[~left] = -self._right.slope_mag(x[~left] - self.x0)
         return out
 
-    def write_scatter_csv(self, path) -> None:
-        with Path(path).open("w") as fh:
-            fh.write("m_n,m_next\n")
-            for a, b in self.pairs:
-                fh.write("%.17g,%.17g\n" % (a, b))
-
 
 def _log_branch(pairs: np.ndarray, x0: float, side: int) -> _LogBranch:
     dist = (x0 - pairs[:, 0]) if side < 0 else (pairs[:, 0] - x0)
@@ -669,7 +662,6 @@ class HolderCrossFit:
     c_h: float
     iota: float
     worst_ratio: float
-    n_pairs: int
 
 
 def fit_holder_cross_bound(m: IntervalMap, n_pairs: int = 10000,
@@ -704,8 +696,7 @@ def fit_holder_cross_bound(m: IntervalMap, n_pairs: int = 10000,
     log_ch = float(np.max(lr - iota * ld))
     c_h = math.exp(log_ch) * (1.0 + 1e-9)
     worst = float(np.max(ratio[keep] / (c_h * dist[keep] ** iota)))
-    return HolderCrossFit(c_h=c_h, iota=iota, worst_ratio=worst,
-                          n_pairs=int(keep.sum()))
+    return HolderCrossFit(c_h=c_h, iota=iota, worst_ratio=worst)
 
 
 def make_perturbed_family(m: IntervalMap, eps: float) -> SyntheticCuspMap:

@@ -28,18 +28,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError
+from .manifest import write_csv
 
 CLASSICAL_ZETA = 10.0
 CLASSICAL_GAMMA = 28.0
 CLASSICAL_BETA = 8.0 / 3.0
 
-_CSV_HEADER = "t,y1,y2,y3,casimir"
 _SWEEP_CHUNK = 500  # samples stacked into one ODE by lyapunov_sweep
 _SWEEP_RADIUS = 50.0  # radius of the ball of sweep starts
 _SWEEP_T_MAX = 10.0  # longest sweep horizon
@@ -158,12 +157,8 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """Write t, y1, y2, y3, C rows with 17 significant digits."""
-        path = Path(path)
-        rows = np.column_stack([self.t, self.y, self.casimir_series()])
-        with path.open("w") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+        write_csv(path, "t,y1,y2,y3,casimir",
+                  np.column_stack([self.t, self.y, self.casimir_series()]))
 
 
 def _solve(rhs, y0, t_end: float, tol: float, context: str, **options):

@@ -1,10 +1,12 @@
 """Named experiment pipelines behind the command line interface.
 
 Each runner fills a RunManifest with check outcomes and writes its
-artifacts under one run directory: data/ for CSV and JSONL, reports/ for
-JSON summaries, plots/ for SVG. A runner raises ConfigError for
-inconsistent parameters before doing any work; any other failure is
-recorded in a partial manifest by run_experiment.
+artifacts under one run directory: data/ for CSV (manifest.write_csv) and
+JSONL, reports/ for JSON summaries (manifest.write_json), plots/ for SVG.
+run_experiment checks the runner's config floors (_FLOORS; for full-suite,
+those of every sub-runner) and raises ConfigError before it creates the
+run directory, so a rejected config does no work and writes nothing; any
+other failure is recorded in a partial manifest.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .cuspmap import _MIN_PAIRS, SyntheticCuspMap, build_empirical_map, \
     fit_branch_exponents
 from .dynamics import FieldSpec, absorption_rate, integrate, lyapunov_sweep
 from .errors import ConfigError
-from .manifest import RunManifest, _jsonable
+from .manifest import RunManifest, write_csv, write_json
 from .noise import NoiseLaw
 from .pdmp import _MIN_PROBES, _MIN_USED, PdmpTrajectory, drift_check, \
     lifted_measure_probe, ratio_formula_estimate, suspension_conjugation_check
@@ -39,11 +41,7 @@ def _field(cfg: ExperimentConfig) -> FieldSpec:
 
 
 def _chain_setup(cfg: ExperimentConfig) -> tuple[SectionSpec, np.ndarray]:
-    """Section and settled start for the stationary-estimator runners."""
-    if cfg.n_transitions - cfg.burn_in < _MIN_USED:
-        raise ConfigError(
-            f"n_transitions - burn_in must be >= {_MIN_USED} for the "
-            f"stationary estimators")
+    """Section and settled start for the chain runners."""
     fld = _field(cfg)
     return SectionSpec(fld, cfg.eps_box), settle_on_attractor(fld)
 
@@ -61,11 +59,6 @@ def _law(cfg: ExperimentConfig) -> NoiseLaw:
 
 def _casimir_obs(y: np.ndarray) -> np.ndarray:
     return np.sum(np.atleast_2d(y) ** 2, axis=1)
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_jsonable) + "\n")
 
 
 def _run_attractor(cfg: ExperimentConfig, rdir: Path,
@@ -96,13 +89,7 @@ def _run_attractor(cfg: ExperimentConfig, rdir: Path,
 
 def _run_cusp_map(cfg: ExperimentConfig, rdir: Path,
                   man: RunManifest) -> None:
-    # n_samples chain states give n_samples - 1 successive pairs
-    if cfg.n_samples - 1 < _MIN_PAIRS:
-        raise ConfigError(
-            f"n_samples must be >= {_MIN_PAIRS + 1} for the empirical map")
-    fld = _field(cfg)
-    sec = SectionSpec(field=fld, eps_box=cfg.eps_box)
-    y0 = settle_on_attractor(fld)
+    sec, y0 = _chain_setup(cfg)
     trace = sample_chain(NoiseLaw.delta_zero(), sec, y0,
                          n=cfg.n_samples, seed=cfg.seed)
     emp = build_empirical_map(trace)
@@ -120,9 +107,9 @@ def _run_cusp_map(cfg: ExperimentConfig, rdir: Path,
     man.add_check("right-cusp-exponent", 0.0 < fit.b_right.value < 1.0,
                   fit.b_right.value, note="must lie in (0,1)")
 
-    emp.write_scatter_csv(rdir / "data" / "maxima_pairs.csv")
-    _write_json(rdir / "reports" / "fit.json",
-                {"x0": emp.x0, "norm": emp.norm, "fit": asdict(fit)})
+    write_csv(rdir / "data" / "maxima_pairs.csv", "m_n,m_next", emp.pairs)
+    write_json(rdir / "reports" / "fit.json",
+               {"x0": emp.x0, "norm": emp.norm, "fit": asdict(fit)})
 
     pairs = emp.pairs[:4000]
     xs = np.linspace(0.001, 0.999, 400)
@@ -152,11 +139,8 @@ def _run_stat_stability(cfg: ExperimentConfig, rdir: Path,
                   float(sum(e.audit_passed for e in rep.entries)),
                   bound=float(len(rep.entries)), note="audits passed")
 
-    with (rdir / "data" / "ladder.csv").open("w") as fh:
-        fh.write("eps,l1_distance,audit_passed\n")
-        for e in rep.entries:
-            fh.write(f"{e.eps:.17g},{e.distance:.17g},"
-                     f"{int(e.audit_passed)}\n")
+    write_csv(rdir / "data" / "ladder.csv", "eps,l1_distance,audit_passed",
+              [(e.eps, e.distance, e.audit_passed) for e in rep.entries])
     eps = np.array([e.eps for e in rep.entries])
     emit_plot(Series("L1 distance", eps, np.asarray(dists)), "loglog",
               rdir / "plots" / "stability_ladder.svg",
@@ -167,8 +151,6 @@ def _run_stat_stability(cfg: ExperimentConfig, rdir: Path,
 
 
 def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
-    if cfg.probes < _MIN_PROBES:
-        raise ConfigError(f"probes must be >= {_MIN_PROBES}")
     sec, y0 = _chain_setup(cfg)
     law = _law(cfg)
     trace = sample_chain(law, sec, y0, n=cfg.n_transitions, seed=cfg.seed,
@@ -229,7 +211,7 @@ def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
         "drift": vars(drift).copy(),
         "conjugation": vars(conj).copy(),
     }
-    _write_json(rdir / "reports" / "estimates.json", estimates)
+    write_json(rdir / "reports" / "estimates.json", estimates)
 
     ts, ys = traj.grid()
     step = max(1, len(ts) // 6000)
@@ -276,12 +258,9 @@ def _run_stochastic_stability(cfg: ExperimentConfig, rdir: Path,
                   bound=0.0,
                   note="|avg(eps) - avg(0)| strictly decreasing")
 
-    with (rdir / "data" / "averages.csv").open("w") as fh:
-        fh.write("eps,casimir_average,se,abs_gap_to_unperturbed,seed\n")
-        fh.write(f"0,{base_value:.17g},{base_se:.17g},0,{cfg.seed}\n")
-        for eps, value, se, diff, seed in rows:
-            fh.write(f"{eps:.17g},{value:.17g},{se:.17g},{diff:.17g},"
-                     f"{seed}\n")
+    write_csv(rdir / "data" / "averages.csv",
+              "eps,casimir_average,se,abs_gap_to_unperturbed,seed",
+              [(0, base_value, base_se, 0, cfg.seed), *rows])
     eps_arr = np.array([r[0] for r in rows])
     emit_plot(Series("|avg gap|", eps_arr, np.maximum(diffs, 1e-16)),
               "loglog", rdir / "plots" / "convergence.svg",
@@ -292,10 +271,14 @@ def _run_stochastic_stability(cfg: ExperimentConfig, rdir: Path,
                               "gap": r[3], "seed": r[4]} for r in rows]
 
 
+# full-suite's sub-runners in run order; it is held to all their floors.
+_SUITE = ("attractor", "cusp-map", "stat-stability", "pdmp",
+          "stochastic-stability")
+
+
 def _run_full_suite(cfg: ExperimentConfig, rdir: Path,
                     man: RunManifest) -> None:
-    for name in ("attractor", "cusp-map", "stat-stability", "pdmp",
-                 "stochastic-stability"):
+    for name in _SUITE:
         sub_cfg = replace(cfg, experiment=name,
                           out_dir=str(rdir / "suite"))
         sub = run_experiment(sub_cfg)
@@ -306,9 +289,26 @@ def _run_full_suite(cfg: ExperimentConfig, rdir: Path,
             man.error = f"{name}: {sub.error}"
 
 
-# Fewest ladder rungs a runner can judge: the stat-stability Kendall trend
-# needs three, a strictly decreasing gap sequence two; full-suite runs both.
-_MIN_RUNGS = {"stat-stability": 3, "stochastic-stability": 2, "full-suite": 3}
+# Config floors, each (holds, message). The stationary estimators need
+# _MIN_USED transitions after burn-in, the empirical map _MIN_PAIRS pairs
+# (n_samples chain states give n_samples - 1), the Kendall trend three
+# ladder rungs and a strictly decreasing gap sequence two.
+_USED = (lambda c: c.n_transitions - c.burn_in >= _MIN_USED,
+         f"n_transitions - burn_in must be >= {_MIN_USED} for the "
+         f"stationary estimators")
+_FLOORS = {
+    "cusp-map": [(lambda c: c.n_samples - 1 >= _MIN_PAIRS,
+                  f"n_samples must be >= {_MIN_PAIRS + 1} for the "
+                  f"empirical map")],
+    "stat-stability": [(lambda c: len(c.eps_ladder) >= 3,
+                        "stat-stability needs >= 3 eps_ladder rungs")],
+    "pdmp": [(lambda c: c.probes >= _MIN_PROBES,
+              f"probes must be >= {_MIN_PROBES}"), _USED],
+    "stochastic-stability": [
+        (lambda c: len(c.eps_ladder) >= 2,
+         "stochastic-stability needs >= 2 eps_ladder rungs"), _USED],
+}
+_FLOORS["full-suite"] = [f for name in _SUITE for f in _FLOORS.get(name, [])]
 
 _RUNNERS = {
     "attractor": _run_attractor,
@@ -330,13 +330,14 @@ def run_directory(cfg: ExperimentConfig) -> Path:
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute one named experiment and write its manifest.
 
-    ConfigError propagates to the caller (nothing has run yet); any
-    other exception is recorded in a partial manifest with status
-    "failed". The manifest is always written on non-config failures.
+    A config below one of the runner's floors raises ConfigError before
+    the run directory exists. Any other exception is recorded in a
+    partial manifest with status "failed", which is written like any
+    other.
     """
-    need = _MIN_RUNGS.get(cfg.experiment, 1)
-    if len(cfg.eps_ladder) < need:
-        raise ConfigError(f"{cfg.experiment} needs >= {need} eps_ladder rungs")
+    for holds, message in _FLOORS.get(cfg.experiment, ()):
+        if not holds(cfg):
+            raise ConfigError(message)
     rdir = run_directory(cfg)
     for sub in ("data", "plots", "reports"):
         (rdir / sub).mkdir(parents=True, exist_ok=True)
@@ -348,15 +349,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     t0 = time.perf_counter()
     try:
         _RUNNERS[cfg.experiment](cfg, rdir, man)
-    except ConfigError:
-        raise
     except Exception as exc:
         man.status = "failed"
         man.error = f"{type(exc).__name__}: {exc}"
     man.wall_clock_s = time.perf_counter() - t0
     for path in sorted(rdir.rglob("*")):
-        if path.is_file() and path.name != "manifest.json" \
-                and "manifest.json" not in path.name:
+        if path.is_file() and path.name != "manifest.json":
             man.add_file(path, rdir)
     man.write(rdir / "manifest.json")
     return man

@@ -1,4 +1,4 @@
-"""Run manifests: check outcomes, artifact hashes, atomic JSON output."""
+"""Run manifests and the artifact writers: atomic JSON, %.17g CSV."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -18,6 +18,32 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def write_json(path, payload) -> None:
+    """Serialize payload to JSON (indent 2, sorted keys, numpy values as
+    Python values) atomically: write a temporary file, then rename it."""
+    path = Path(path)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line, then one line per row: Python ints exactly,
+    every other value with 17 significant digits."""
+    with Path(path).open("w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("%d" % v if isinstance(v, int) else "%.17g" % v
+                              for v in row) + "\n")
+
+
 @dataclass(frozen=True)
 class CheckOutcome:
     """One acceptance check: what was measured against what bound."""
@@ -27,10 +53,6 @@ class CheckOutcome:
     value: float
     bound: float | None = None
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "value": self.value, "bound": self.bound, "note": self.note}
 
 
 @dataclass
@@ -61,36 +83,9 @@ class RunManifest:
     def add_file(self, path, root) -> None:
         self.files[str(Path(path).relative_to(root))] = file_sha256(path)
 
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "version": self.version,
-            "started_utc": self.started_utc,
-            "wall_clock_s": self.wall_clock_s,
-            "status": self.status,
-            "error": self.error,
-            "all_passed": self.all_passed,
-            "checks": [c.as_dict() for c in self.checks],
-            "files": dict(sorted(self.files.items())),
-            "results": self.results,
-        }
-
-    def write(self, path) -> Path:
-        """Serialize to JSON atomically (write-then-rename)."""
-        path = Path(path)
-        text = json.dumps(self.as_dict(), indent=2, sort_keys=True,
-                          default=_jsonable)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+    def write(self, path) -> None:
+        """Serialize every field plus all_passed with write_json."""
+        write_json(path, {**asdict(self), "all_passed": self.all_passed})
 
 
 def _jsonable(obj):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import absorption_rate, as_state, integrate
 from .errors import DomainError
-from .noise import NoiseKind, NoiseLaw
+from .noise import NoiseLaw
 from .section import (
     MarkovRenewalTrace,
     SectionSpec,
@@ -233,13 +233,6 @@ class DriftReport:
     caveat: str
 
 
-def _support_candidates(law: NoiseLaw) -> np.ndarray:
-    if law.kind is NoiseKind.DISCRETE:
-        return np.asarray(law.atoms, dtype=float)
-    lo, hi = law.support
-    return np.array([lo, hi])
-
-
 def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace) -> DriftReport:
     """Check the one-step drift of the Casimir at every transition.
 
@@ -254,8 +247,10 @@ def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace) -> DriftReport:
     inf_tau = float(np.min(trace.tau))
     a_eps = math.exp(-m * max(inf_tau - trace.section.tol, 0.0))
     h, h0 = fld.h, fld.h0
+    # |eta h + h0|^2 is convex in eta: its largest value over the law is
+    # at an end of the support
     k_eps = max(float(np.dot(eta * h + h0, eta * h + h0))
-                for eta in _support_candidates(law)) / m ** 2
+                for eta in law.support) / m ** 2
     k_bar = (1.0 - a_eps) + k_eps * (1.0 + a_eps)
 
     c_cur = trace.casimir

@@ -13,7 +13,7 @@ from lorenzlab.config import (
 )
 from lorenzlab.errors import ConfigError
 from lorenzlab.experiments import run_directory
-from lorenzlab.manifest import file_sha256
+from lorenzlab.manifest import file_sha256, write_csv
 
 
 def _fast_attractor_args(out_dir):
@@ -112,10 +112,11 @@ class TestExitCodes:
 
     def test_experiment_specific_validation_is_2(self, capsys, tmp_path):
         # Each floor is only checkable once the experiment is known, and
-        # each is rejected before any chain is sampled: the stationary
+        # each is rejected before the run directory exists: the stationary
         # estimators need a margin over the burn-in, the conjugation check
         # 100 probes, the empirical map 1000 successive pairs, the Kendall
-        # trend three rungs and a decreasing gap sequence two.
+        # trend three rungs and a decreasing gap sequence two. full-suite
+        # is held to every sub-runner's floors before its first sub-run.
         for experiment, override, floor in (
                 ("pdmp", "n_transitions=1100", ">= 1000"),
                 ("pdmp", "probes=99", ">= 100"),
@@ -124,11 +125,15 @@ class TestExitCodes:
                 ("stat-stability", "eps_ladder=0.1", ">= 3"),
                 ("stat-stability", "eps_ladder=0.1,0.05", ">= 3"),
                 ("stochastic-stability", "eps_ladder=0.1", ">= 2"),
-                ("full-suite", "eps_ladder=0.1,0.05", ">= 3")):
+                ("full-suite", "eps_ladder=0.1,0.05", ">= 3"),
+                ("full-suite", "n_samples=1000", ">= 1001"),
+                ("full-suite", "probes=99", ">= 100"),
+                ("full-suite", "n_transitions=1100", ">= 1000")):
             rc = main([experiment, "-s", override,
                        "-s", f"out_dir={tmp_path}"])
             assert rc == 2
             assert floor in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_runtime_failure_is_1_with_partial_manifest(self, capsys,
                                                         tmp_path):
@@ -209,3 +214,11 @@ class TestAttractorRun:
 
         assert strip_timing(first["results"]) == \
             strip_timing(second["results"])
+
+
+def test_csv_writer_keeps_integers_exact(tmp_path):
+    # seeds above 1e17 would round under %.17g; floats keep 17 digits
+    path = tmp_path / "rows.csv"
+    write_csv(path, "eps,passed,seed", [(0.1, True, 2 ** 63 + 1)])
+    assert path.read_text() == \
+        "eps,passed,seed\n0.10000000000000001,1,9223372036854775809\n"
