@@ -36,7 +36,6 @@ from .section import (
     SectionSpec,
     next_crossing,
     on_section,
-    return_map,
     sample_chain,
     settle_on_attractor,
 )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import t as student_t
 
 from .errors import (
     ConstructionError,
@@ -497,6 +496,8 @@ class BranchFit:
 
 
 def _origin_slope(xs: np.ndarray, ys: np.ndarray) -> ExponentEstimate:
+    from scipy.stats import t as student_t
+
     keep = np.isfinite(ys)
     xs, ys = xs[keep], ys[keep]
     if len(xs) < 20:
@@ -510,6 +511,8 @@ def _origin_slope(xs: np.ndarray, ys: np.ndarray) -> ExponentEstimate:
 
 
 def _loglog_slope(s: np.ndarray, vals: np.ndarray) -> ExponentEstimate:
+    from scipy.stats import t as student_t
+
     keep = np.isfinite(vals) & (vals > 0)
     s, vals = s[keep], vals[keep]
     if len(s) < 20:
@@ -649,56 +652,6 @@ def find_expanding_conjugation(m: IntervalMap, gammas=None, betas=None,
     return best
 
 
-@dataclass(frozen=True)
-class HolderCrossFit:
-    """Fitted constants of the derivative cross-bound
-
-    |T'(x) - T'(y)| <= c_h |T'(x)| |T'(y)| |x - y|^iota
-
-    over same-branch pairs, plus the worst observed ratio against the
-    fitted right-hand side (<= 1 when the bound holds on the sample).
-    """
-
-    c_h: float
-    iota: float
-    worst_ratio: float
-
-
-def fit_holder_cross_bound(m: IntervalMap, n_pairs: int = 10000,
-                           seed: int = 0) -> HolderCrossFit:
-    rng = np.random.default_rng(seed)
-    halves = (n_pairs + 1) // 2
-    lo = 1e-4
-    xs, ys = [], []
-    for a, b in ((lo, m.x0 - lo), (m.x0 + lo, 1.0 - lo)):
-        u = np.sort(rng.uniform(a, b, size=(halves, 2)), axis=1)
-        keep = u[:, 1] - u[:, 0] > 1e-9
-        xs.append(u[keep, 0])
-        ys.append(u[keep, 1])
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    dx = m.derivative(x)
-    dy = m.derivative(y)
-    ratio = np.abs(dx - dy) / (np.abs(dx) * np.abs(dy))
-    dist = y - x
-    keep = ratio > 0
-    ld, lr = np.log(dist[keep]), np.log(ratio[keep])
-    edges = np.linspace(ld.min(), ld.max() + 1e-12, 21)
-    idx = np.clip(np.digitize(ld, edges) - 1, 0, 19)
-    env_x, env_y = [], []
-    for i in range(20):
-        sel = idx == i
-        if np.any(sel):
-            env_x.append(0.5 * (edges[i] + edges[i + 1]))
-            env_y.append(np.max(lr[sel]))
-    coef = np.polyfit(env_x, env_y, 1)
-    iota = float(coef[0])
-    log_ch = float(np.max(lr - iota * ld))
-    c_h = math.exp(log_ch) * (1.0 + 1e-9)
-    worst = float(np.max(ratio[keep] / (c_h * dist[keep] ** iota)))
-    return HolderCrossFit(c_h=c_h, iota=iota, worst_ratio=worst)
-
-
 def make_perturbed_family(m: IntervalMap, eps: float) -> SyntheticCuspMap:
     """Shift-and-tilt deformation of a synthetic cusp map, at distance O(eps).
 
@@ -724,24 +677,21 @@ def make_perturbed_family(m: IntervalMap, eps: float) -> SyntheticCuspMap:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One audited condition: its measured value and whether it passed.
+    """One audited condition: its measured value and whether it passed."""
 
-    passed is None for report-only checks that have no pass criterion.
-    """
-
-    passed: bool | None
+    passed: bool
     value: float
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """The seven audited conditions of one perturbation, keyed by name."""
+    """The six audited conditions of one perturbation, keyed by name."""
 
     checks: dict[str, CheckResult]
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values() if c.passed is not None)
+        return all(c.passed for c in self.checks.values())
 
 
 def _interior_sign_changes(f: np.ndarray, tol: float = 1e-12) -> int:
@@ -767,12 +717,11 @@ def cylinder_anatomy(m: IntervalMap) -> dict:
 
 
 def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
-                      n_grid: int = 4096, n_pairs: int = 10000) -> AuditReport:
+                      n_grid: int = 4096) -> AuditReport:
     """Report-only audit of the perturbation-family conditions.
 
     Measures uniform closeness, derivative closeness away from the cusp,
-    the derivative cross-bound constants (reported, not judged), the
-    expansion floor past the cusp, horizontal closeness of inverse
+    the expansion floor past the cusp, horizontal closeness of inverse
     branches, vertical closeness of derivatives outside a shrinking
     exclusion ball, and branch non-crossing. Thresholds for the closeness
     checks scale with the Hoelder envelope of the branch exponents, since
@@ -796,9 +745,6 @@ def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
     thr = 30.0 * eps_eff ** b_min
     checks["derivative_closeness_off_cusp"] = CheckResult(dclose <= thr,
                                                           dclose)
-
-    fit = fit_holder_cross_bound(pert, n_pairs=n_pairs)
-    checks["derivative_cross_bound"] = CheckResult(None, fit.iota)
 
     anatomy = cylinder_anatomy(pert)
     lo, hi = anatomy["b_right1"], anatomy["a_right0"]

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .errors import DomainError
 
@@ -89,6 +88,8 @@ class NoiseLaw:
         if self.kind is NoiseKind.UNIFORM:
             return self.eps * (2.0 * u - 1.0)
         if self.kind is NoiseKind.TRUNC_GAUSS:
+            from scipy.stats import truncnorm
+
             a, b = -self.eps / self.sigma, self.eps / self.sigma
             return truncnorm.ppf(u, a, b, scale=self.sigma)
         cum = np.cumsum(self.weights)
@@ -106,6 +107,8 @@ class NoiseLaw:
         if self.kind is NoiseKind.UNIFORM:
             weights = w / w.sum()
         else:
+            from scipy.stats import truncnorm
+
             a, b = -self.eps / self.sigma, self.eps / self.sigma
             dens = truncnorm.pdf(nodes, a, b, scale=self.sigma)
             weights = w * dens

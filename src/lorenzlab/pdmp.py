@@ -25,7 +25,6 @@ from .section import (
     SectionSpec,
     next_crossing,
     on_section,
-    return_map,
     sample_chain,
 )
 
@@ -319,8 +318,7 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     if not on_section(section, y_x):
         raise DomainError("base point must lie on the section")
 
-    section = replace(section, tol=min(section.tol, 1e-12),
-                      root_tol=min(section.root_tol, 1e-10))
+    section = replace(section, tol=min(section.tol, 1e-12))
     n_base = 48
     n_chain = n_base + 64
     trace = sample_chain(law, section, y_x, n=n_chain, seed=seed)
@@ -329,7 +327,7 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     t_lo = min_crossings * mean_tau
 
     def flow(n: int, y: np.ndarray, dt: float) -> np.ndarray:
-        fld = section.forced(float(trace.eta[n]))
+        fld = section.field.with_eta(float(trace.eta[n]))
         return integrate(fld, y, dt, tol=section.tol).y[-1] if dt > 0.0 \
             else y.copy()
 
@@ -369,11 +367,7 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
         idx = k
         crossings = 0
         while True:
-            if crossings == 0 and not on_section(section, y_cur):
-                ev = next_crossing(section.forced(float(trace.eta[idx])),
-                                   section, y_cur)
-            else:
-                ev = return_map(section, y_cur, eta=float(trace.eta[idx]))
+            ev = next_crossing(section, y_cur, float(trace.eta[idx]))
             if ev.t > remaining:
                 y_cur = flow(idx, y_cur, remaining)
                 break

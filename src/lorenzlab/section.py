@@ -42,8 +42,9 @@ class SectionSpec:
     per operation). eps_box: half-width of the membership box; the default
     25 used throughout is checked against attractor crossings by the
     calibration oracle in tests/test_section.py. t_max: horizon for a
-    single crossing search.
-    tol: integrator tolerance. root_tol: accepted residual |g| at events.
+    single crossing search. tol: integrator tolerance.
+    root_tol: the residual bound |g| that crossings are held to by the
+    tests and the benchmark checks; the search itself does not read it.
     tangency_tol: |dg/dt| below this flags a grazing event.
     """
 
@@ -65,9 +66,6 @@ class SectionSpec:
         e, shift = self.eps_box, self.field.shift
         return bool(abs(y[0]) <= e and abs(y[1]) <= e
                     and -shift <= y[2] <= e - shift)
-
-    def forced(self, eta: float) -> FieldSpec:
-        return self.field.with_eta(eta)
 
 
 @dataclass
@@ -91,14 +89,21 @@ class FlowSegment:
     eta: float
 
 
+def _g(fld: FieldSpec, y, v) -> float:
+    """g = 2 <v0(y), y>, written as 2 (<v, y> - eta <h, y>) from v = fld(y).
+
+    The crossing search refines its roots on exactly this arithmetic.
+    """
+    return 2.0 * (float(np.dot(v, y)) - fld.eta * float(np.dot(fld.h, y)))
+
+
 def surface_derivatives(fld: FieldSpec, y) -> tuple[float, float]:
     """Surface function g (unforced Casimir slope) and dg/dt along fld."""
     y = as_state(y)
     v = fld.velocity(y)
-    v0 = v - fld.eta * np.asarray(fld.h)
-    g = 2.0 * float(np.dot(v0, y))
+    v0 = v - fld.eta * fld.h
     gdot = 2.0 * (float(np.dot(fld.jacobian(y) @ v, y)) + float(np.dot(v0, v)))
-    return g, gdot
+    return _g(fld, y, v), gdot
 
 
 def on_section(section: SectionSpec, y) -> bool:
@@ -110,36 +115,23 @@ def on_section(section: SectionSpec, y) -> bool:
 
 
 def _surface_event(fld: FieldSpec):
-    h = np.asarray(fld.h)
-    eta = fld.eta
-
     def ev(t, y):
-        v = fld.velocity(y)
-        return 2.0 * (float(np.dot(v, y)) - eta * float(np.dot(h, y)))
+        return _g(fld, y, fld.velocity(y))
 
     ev.direction = -1.0
     ev.terminal = True
     return ev
 
 
-def _make_event(section: SectionSpec, fld: FieldSpec, t_accum: float, y_ev,
-                warn: bool = True) -> SectionEvent:
-    _, gdot = surface_derivatives(fld, y_ev)
-    tangent = bool(abs(gdot) <= section.tangency_tol or gdot > 0)
-    if tangent and warn:
-        warnings.warn(f"near-tangential section crossing (dg/dt = {gdot:.3e})",
-                      TangencyWarning, stacklevel=3)
-    return SectionEvent(t=t_accum, y=y_ev, tangent=tangent)
-
-
-def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
-            want_segment: bool, guard_first: bool):
-    """First in-box downward crossing of g = 0 along the fld flow.
+def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
+            guard_first: bool):
+    """First in-box downward crossing of g = 0 along the flow forced at eta.
 
     guard_first steps off the surface before enabling events; it is
     required when y0 already satisfies g = 0 (a fresh transition), because
     the event machinery would otherwise re-report the start point.
     """
+    fld = section.field.with_eta(eta)
     y = as_state(y0)
     dense = []  # (t0, t1, dense solution) of each solve window
     t_accum = 0.0
@@ -175,10 +167,15 @@ def _search(fld: FieldSpec, section: SectionSpec, y0: np.ndarray,
             dense.append((t_accum, t_accum + t_ev, sol.sol))
         t_accum += t_ev
         if section.contains(y_ev):
-            ev = _make_event(section, fld, t_accum, y_ev)
+            _, gdot = surface_derivatives(fld, y_ev)
+            tangent = bool(abs(gdot) <= section.tangency_tol or gdot > 0)
+            if tangent:
+                warnings.warn("near-tangential section crossing "
+                              f"(dg/dt = {gdot:.3e})", TangencyWarning,
+                              stacklevel=2)
             segment = (_sample_segment(dense, t_accum, y0, y_ev)
                        if want_segment else None)
-            return ev, segment
+            return SectionEvent(t=t_accum, y=y_ev, tangent=tangent), segment
         # Surface crossing outside the box: not an event, flow onward.
         y = guard(y_ev)
 
@@ -200,33 +197,18 @@ def _sample_segment(dense: list, tau: float, y_start,
     return ts, ys
 
 
-def next_crossing(fld: FieldSpec, section: SectionSpec, y0) -> SectionEvent:
-    """Hitting event of M from y0 along the fld flow (t = 0 when y0 in M).
+def next_crossing(section: SectionSpec, y, eta: float = 0.0) -> SectionEvent:
+    """First crossing of M from y along the flow forced at amplitude eta.
 
-    Raises HorizonExceeded when no crossing occurs within section.t_max,
-    which usually means y0 escaped the absorbing neighbourhood or the box
-    is too small.
+    From a state on M (on_section) this is one step of the random return
+    map R_eta: the search steps past the trivial self-hit, so t is the
+    return time and strictly positive. From any other state it is the
+    hitting event of M. Raises HorizonExceeded when no crossing occurs
+    within section.t_max, which usually means y escaped the absorbing
+    neighbourhood or the box is too small.
     """
-    y0 = as_state(y0)
-    g, gdot = surface_derivatives(fld, y0)
-    if abs(g) <= section.root_tol and gdot <= section.tangency_tol \
-            and section.contains(y0):
-        return _make_event(section, fld, 0.0, y0.copy(), warn=False)
-    ev, _ = _search(fld, section, y0, want_segment=False, guard_first=False)
-    return ev
-
-
-def return_map(section: SectionSpec, y, eta: float = 0.0) -> SectionEvent:
-    """One step of the random return map R_eta from a state y on M.
-
-    Returns the next crossing, whose t is the return time. That time is
-    strictly positive: the search deliberately steps past the trivial
-    self-hit at t = 0. Raises DomainError when y is not on the section.
-    """
-    if not on_section(section, y):
-        raise DomainError("return_map requires a starting point on the section")
-    ev, _ = _search(section.forced(eta), section, y, want_segment=False,
-                    guard_first=True)
+    ev, _ = _search(section, y, eta, want_segment=False,
+                    guard_first=on_section(section, y))
     return ev
 
 
@@ -338,8 +320,8 @@ def sample_chain(law: NoiseLaw, section: SectionSpec, x0, n: int, seed: int,
 
     def search(eta: float, y, k: int, guard_first: bool):
         try:
-            return _search(section.forced(eta), section, y,
-                           want_segment=keep_segments, guard_first=guard_first)
+            return _search(section, y, eta, want_segment=keep_segments,
+                           guard_first=guard_first)
         except HorizonExceeded as exc:
             exc.partial = _trace(k, y, ok=False)
             raise

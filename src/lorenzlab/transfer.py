@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
-from scipy.stats import kendalltau
 
 from .cuspmap import IntervalMap, audit_assumptions, make_perturbed_family
 from .errors import (
@@ -285,6 +284,8 @@ def statistical_stability_experiment(base: IntervalMap, eps_ladder,
     density computed, and the L1 distance to the base density recorded.
     Audit failures flag the entry but do not stop the experiment.
     """
+    from scipy.stats import kendalltau
+
     eps_ladder = [float(e) for e in eps_ladder]
     if any(e < 0 for e in eps_ladder):
         raise DomainError("eps ladder must be non-negative")

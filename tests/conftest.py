@@ -33,7 +33,7 @@ def y_start(field):
 
 @pytest.fixture(scope="session")
 def x_on_section(section, y_start):
-    return next_crossing(section.forced(0.0), section, y_start).y
+    return next_crossing(section, y_start).y
 
 
 @pytest.fixture(scope="session")

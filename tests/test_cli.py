@@ -1,9 +1,14 @@
 """End-to-end checks of the command line runner and its manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lorenzlab
 from lorenzlab.cli import main
 from lorenzlab.config import (
     ExperimentConfig,
@@ -222,3 +227,13 @@ def test_csv_writer_keeps_integers_exact(tmp_path):
     write_csv(path, "eps,passed,seed", [(0.1, True, 2 ** 63 + 1)])
     assert path.read_text() == \
         "eps,passed,seed\n0.10000000000000001,1,9223372036854775809\n"
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats is imported where it is called, not with the package."""
+    src = str(Path(lorenzlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, lorenzlab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -14,7 +14,6 @@ from lorenzlab.cuspmap import (
     cylinder_anatomy,
     find_expanding_conjugation,
     fit_branch_exponents,
-    fit_holder_cross_bound,
     make_perturbed_family,
 )
 from lorenzlab.errors import (
@@ -318,12 +317,6 @@ def test_expanding_conjugation_found(synth):
     assert tbar.inf_abs_derivative() == pytest.approx(inf_d, rel=1e-6)
 
 
-def test_holder_cross_bound(synth):
-    fit = fit_holder_cross_bound(synth, n_pairs=4000, seed=1)
-    assert fit.worst_ratio <= 1.0 + 1e-9
-    assert fit.c_h > 0.0
-
-
 def test_perturbed_family_limits(synth):
     assert sup_distance(make_perturbed_family(synth, 0.0), synth) == 0.0
     dists = [sup_distance(make_perturbed_family(synth, e), synth)
@@ -336,20 +329,16 @@ def test_perturbed_family_limits(synth):
 
 
 def test_audit_identity(synth):
-    rep = audit_assumptions(synth, synth, eps=0.0, n_grid=1024,
-                            n_pairs=2000)
-    graded = {k: c for k, c in rep.checks.items() if c.passed is not None}
-    assert all(c.passed for c in graded.values())
+    rep = audit_assumptions(synth, synth, eps=0.0, n_grid=1024)
+    assert all(c.passed for c in rep.checks.values())
     assert rep.checks["uniform_closeness"].value == 0.0
     assert rep.checks["branch_non_crossing"].value == 0.0
 
 
 def test_audit_family(synth):
     pert = make_perturbed_family(synth, 0.01)
-    rep = audit_assumptions(synth, pert, eps=0.01, n_grid=2048,
-                            n_pairs=4000)
-    graded = {k: c for k, c in rep.checks.items() if c.passed is not None}
-    assert all(c.passed for c in graded.values())
+    rep = audit_assumptions(synth, pert, eps=0.01, n_grid=2048)
+    assert all(c.passed for c in rep.checks.values())
     assert rep.checks["expansion_floor"].value > 1.0
 
 
@@ -358,8 +347,7 @@ def test_audit_adversarial_crossing(synth):
                            alpha_left=synth.alpha_left * 0.9,
                            alpha_right=synth.alpha_right,
                            b_left=synth.b_left, b_right=synth.b_right)
-    rep = audit_assumptions(synth, adv, eps=0.04, n_grid=2048,
-                            n_pairs=4000)
+    rep = audit_assumptions(synth, adv, eps=0.04, n_grid=2048)
     assert not rep.checks["branch_non_crossing"].passed
     assert rep.checks["uniform_closeness"].passed
 

@@ -57,7 +57,7 @@ def test_delta_zero_matches_deterministic_flow(section, y_start, traj_det):
     ts, ys = traj_det.grid()
     # segment junctions can repeat a time up to cumsum rounding
     keep = np.concatenate([[True], np.diff(ts) > 0])
-    ref = integrate(section.forced(0.0), y_start, float(ts[keep][-1]),
+    ref = integrate(section.field, y_start, float(ts[keep][-1]),
                     t_eval=ts[keep])
     assert np.max(np.abs(ys[keep] - ref.y)) < 1e-4
 

@@ -14,7 +14,6 @@ from lorenzlab import (
     integrate,
     next_crossing,
     on_section,
-    return_map,
     sample_chain,
 )
 from lorenzlab.errors import DomainError, TangencyWarning
@@ -28,34 +27,34 @@ from lorenzlab.section import (
 
 
 def test_crossing_lands_on_surface(section, y_start):
-    fld = section.forced(0.0)
-    ev = next_crossing(fld, section, y_start)
+    assert not on_section(section, y_start)
+    ev = next_crossing(section, y_start)
     assert ev.t > 0.0
     assert on_section(section, ev.y)
     # local maximum of the energy-like quantity: stationary and curving down
-    cdot, cddot = surface_derivatives(fld, ev.y)
+    cdot, cddot = surface_derivatives(section.field, ev.y)
     assert abs(cdot) < 1e-6
     assert cddot < 0.0
 
 
-def test_on_section_start_short_circuits(section, x_on_section):
-    ev = next_crossing(section.forced(0.0), section, x_on_section)
-    assert ev.t == 0.0
-    np.testing.assert_allclose(ev.y, x_on_section)
-
-
 def test_return_map_composition(section, x_on_section):
-    """Two single steps equal one double step, up to solver error."""
-    s1 = return_map(section, x_on_section, eta=0.0)
-    s2 = return_map(section, s1.y, eta=0.0)
-    direct = integrate(section.forced(0.0), x_on_section,
+    """Two single steps of R_0 equal one double step, up to solver error."""
+    s1 = next_crossing(section, x_on_section)
+    s2 = next_crossing(section, s1.y)
+    assert s1.t > 0.0 and s2.t > 0.0
+    direct = integrate(section.field, x_on_section,
                        s1.t + s2.t, t_eval=[s1.t + s2.t])
     assert np.max(np.abs(direct.y[-1] - s2.y)) < 1e-6
 
 
-def test_return_map_rejects_off_section_start(section, y_start):
-    with pytest.raises(DomainError, match="on the section"):
-        return_map(section, y_start)
+def test_next_crossing_replays_the_chain(section, chain_short):
+    """From each chain state on M, next_crossing at that sojourn's amplitude
+    is the chain's own transition, bit for bit."""
+    x_next = _x_next(chain_short)
+    for k in range(len(chain_short)):
+        ev = next_crossing(section, chain_short.x[k], chain_short.eta[k])
+        assert ev.t == chain_short.tau[k]
+        np.testing.assert_array_equal(ev.y, x_next[k])
 
 
 def test_return_times_plausible(section, chain_med):
@@ -106,6 +105,10 @@ def test_chain_layout(chain_med, section):
     assert all(on_section(section, xk) for xk in tr.x[:50])
     np.testing.assert_allclose(tr.casimir[:50],
                                [casimir(xk) for xk in tr.x[:50]])
+    # every crossing, and the state after the last, meets the residual bound
+    g = [surface_derivatives(section.field, y)[0]
+         for y in np.vstack([tr.x, tr.x_end])]
+    assert max(map(abs, g)) <= section.root_tol
 
 
 def _x_next(trace) -> np.ndarray:
@@ -198,7 +201,7 @@ def test_grazing_crossing_is_flagged(field, y_start):
     """A tangency tolerance above every |dg/dt| makes each crossing tangent."""
     grazing = SectionSpec(field, eps_box=25.0, tangency_tol=1e12)
     with pytest.warns(TangencyWarning):
-        ev = next_crossing(grazing.forced(0.0), grazing, y_start)
+        ev = next_crossing(grazing, y_start)
     assert ev.tangent
     with pytest.warns(TangencyWarning):
         trace = sample_chain(NoiseLaw.uniform(0.05), grazing, y_start,
