@@ -12,11 +12,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .noise import NoiseKind
 
 EXPERIMENTS = ("attractor", "cusp-map", "stat-stability", "pdmp",
                "stochastic-stability", "full-suite")
 
-_NOISE_KINDS = ("delta_zero", "uniform", "discrete", "trunc_gauss")
+_NOISE_KINDS = tuple(k.value for k in NoiseKind)
 
 
 @dataclass(frozen=True)

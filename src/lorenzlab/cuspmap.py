@@ -34,6 +34,7 @@ _DEFORMATION_RATE = 0.5  # cusp shift and branch tilt per unit eps
 _XTOL = 1e-14  # absolute width at which a branch-inversion bracket is closed
 _RTOL = 4.0 * np.finfo(float).eps  # relative part of the same width
 _MAX_ITER = 250  # a bracket halves every 5 updates; 47 halvings take 1 below _XTOL
+_PEAK_DROP = 0.05  # valley depth at which a second scatter peak counts
 
 
 class IntervalMap:
@@ -324,7 +325,7 @@ class EmpiricalCuspMap(IntervalMap):
 
         centers, means = _binned_means(pairs[:, 0], pairs[:, 1], 64)
         smooth = _moving_average(means, 5)
-        n_modes, top = _significant_maxima(smooth, drop=0.05)
+        n_modes, top = _significant_maxima(smooth)
         if n_modes > 1:
             raise ShapeError(
                 f"scatter has {n_modes} separated maxima, expected one")
@@ -357,10 +358,7 @@ def _log_branch(pairs: np.ndarray, x0: float, side: int) -> _LogBranch:
     u = np.log(s)
     top = math.log(x0) if side < 0 else math.log(1.0 - x0)
     edges = np.linspace(u.min(), min(u.max(), top), _BRANCH_BINS + 1)
-    idx = np.clip(np.digitize(u, edges) - 1, 0, _BRANCH_BINS - 1)
-    counts = np.bincount(idx, minlength=_BRANCH_BINS)
-    uk = np.bincount(idx, weights=u, minlength=_BRANCH_BINS)
-    pk = np.bincount(idx, weights=phi, minlength=_BRANCH_BINS)
+    counts, uk, pk = _bin_counts(u, edges, u, phi)
     good = counts >= 3
     uk, pk = uk[good] / counts[good], pk[good] / counts[good]
     # Anchor the far end of the branch: at distance x0 (resp. 1 - x0) the
@@ -414,29 +412,38 @@ def _refine_x0_powerlaw(x: np.ndarray, y: np.ndarray, coarse: float) -> float:
     return x0
 
 
-def _binned_means(x: np.ndarray, y: np.ndarray, n_bins: int,
-                  min_count: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def _bin_counts(x: np.ndarray, edges: np.ndarray, *weights: np.ndarray):
+    """Points of x per bin of edges (points outside them fall in the end
+    bins), then the per-bin sums of each weight."""
+    n = len(edges) - 1
+    idx = np.clip(np.digitize(x, edges) - 1, 0, n - 1)
+    return (np.bincount(idx, minlength=n),
+            *(np.bincount(idx, weights=w, minlength=n) for w in weights))
+
+
+def _binned_means(x: np.ndarray, y: np.ndarray,
+                  n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and means of y over the equal bins of x holding >= 3 points."""
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    idx = np.clip(np.digitize(x, edges) - 1, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=y, minlength=n_bins)
-    keep = counts >= min_count
+    counts, sums = _bin_counts(x, edges, y)
+    keep = counts >= 3
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers[keep], sums[keep] / counts[keep]
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
+    """Running mean over width points, the ends padded with the end values."""
     if len(y) <= width:
         return y.copy()
     pad = width // 2
-    ext = np.concatenate([np.repeat(y[0], pad), y, np.repeat(y[-1], pad)])
-    kernel = np.ones(width) / width
-    return np.convolve(ext, kernel, mode="valid")
+    ext = np.concatenate([np.repeat(y[0], pad), y,
+                          np.repeat(y[-1], width - 1 - pad)])
+    return np.convolve(ext, np.ones(width) / width, mode="valid")
 
 
-def _significant_maxima(y: np.ndarray, drop: float) -> tuple[int, int]:
+def _significant_maxima(y: np.ndarray) -> tuple[int, int]:
     """Count separated interior maxima; a second peak counts only when the
-    valley between it and the higher peak drops by more than `drop`."""
+    valley between it and the higher peak drops by more than _PEAK_DROP."""
     peaks = [i for i in range(1, len(y) - 1)
              if y[i] >= y[i - 1] and y[i] > y[i + 1]]
     if not peaks:
@@ -448,7 +455,7 @@ def _significant_maxima(y: np.ndarray, drop: float) -> tuple[int, int]:
             continue
         lo, hi = (i, top) if i < top else (top, i)
         valley = np.min(y[lo:hi + 1])
-        if y[i] - valley > drop:
+        if y[i] - valley > _PEAK_DROP:
             n_modes += 1
     return n_modes, top
 
@@ -495,36 +502,28 @@ class BranchFit:
     delta: float
 
 
-def _origin_slope(xs: np.ndarray, ys: np.ndarray) -> ExponentEstimate:
+def _slope(x: np.ndarray, y: np.ndarray, loglog: bool) -> ExponentEstimate:
+    """Least-squares slope of y on x with its 95% t-interval.
+
+    loglog fits log y against log x with an intercept; otherwise the line
+    passes through the origin. Non-finite y (and, for loglog, y <= 0) are
+    dropped, and fewer than 20 remaining points raise FitError.
+    """
     from scipy.stats import t as student_t
 
-    keep = np.isfinite(ys)
-    xs, ys = xs[keep], ys[keep]
-    if len(xs) < 20:
+    keep = np.isfinite(y) & (y > 0) if loglog else np.isfinite(y)
+    x, y = x[keep], y[keep]
+    if len(x) < 20:
         raise FitError("fewer than 20 usable points in the fit window")
-    slope = float(np.sum(xs * ys) / np.sum(xs * xs))
-    resid = ys - slope * xs
-    se = math.sqrt(float(np.sum(resid ** 2)) / (len(xs) - 1) / float(np.sum(xs * xs)))
-    half = float(student_t.ppf(0.975, len(xs) - 1)) * se
-    return ExponentEstimate(slope, slope - half, slope + half,
-                            float(np.sqrt(np.mean(resid ** 2))))
-
-
-def _loglog_slope(s: np.ndarray, vals: np.ndarray) -> ExponentEstimate:
-    from scipy.stats import t as student_t
-
-    keep = np.isfinite(vals) & (vals > 0)
-    s, vals = s[keep], vals[keep]
-    if len(s) < 20:
-        raise FitError("fewer than 20 usable points in the fit window")
-    lx, ly = np.log(s), np.log(vals)
-    n = len(lx)
-    vx = lx - lx.mean()
-    slope = float(np.sum(vx * ly) / np.sum(vx * vx))
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - slope * lx - intercept
-    se = math.sqrt(float(np.sum(resid ** 2)) / (n - 2) / float(np.sum(vx * vx)))
-    half = float(student_t.ppf(0.975, n - 2)) * se
+    dof = len(x) - 2 if loglog else len(x) - 1
+    if loglog:
+        x, y = np.log(x), np.log(y)
+    vx = x - x.mean() if loglog else x
+    slope = float(np.sum(vx * y) / np.sum(vx * vx))
+    intercept = float(y.mean() - slope * x.mean()) if loglog else 0.0
+    resid = y - slope * x - intercept
+    se = math.sqrt(float(np.sum(resid ** 2)) / dof / float(np.sum(vx * vx)))
+    half = float(student_t.ppf(0.975, dof)) * se
     return ExponentEstimate(slope, slope - half, slope + half,
                             float(np.sqrt(np.mean(resid ** 2))))
 
@@ -540,10 +539,10 @@ def fit_branch_exponents(m: IntervalMap, delta: float = 1e-3) -> BranchFit:
     if delta <= 0 or 10.0 * delta >= min(m.x0, 1.0 - m.x0):
         raise DomainError("fit window must fit inside both branches")
     s = np.geomspace(delta, 10.0 * delta, _FIT_POINTS)
-    alpha_left = _origin_slope(s, m(s))
-    alpha_right = _origin_slope(s, m(1.0 - s))
-    b_left = _loglog_slope(s, 1.0 - m(m.x0 - s))
-    b_right = _loglog_slope(s, 1.0 - m(m.x0 + s))
+    alpha_left = _slope(s, m(s), loglog=False)
+    alpha_right = _slope(s, m(1.0 - s), loglog=False)
+    b_left = _slope(s, 1.0 - m(m.x0 - s), loglog=True)
+    b_right = _slope(s, 1.0 - m(m.x0 + s), loglog=True)
     return BranchFit(alpha_left=alpha_left, alpha_right=alpha_right,
                      b_left=b_left, b_right=b_right, delta=float(delta))
 
@@ -718,14 +717,16 @@ def cylinder_anatomy(m: IntervalMap) -> dict:
 
 def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
                       n_grid: int = 4096) -> AuditReport:
-    """Report-only audit of the perturbation-family conditions.
+    """Audit of the perturbation-family conditions; a failed one is reported.
 
-    Measures uniform closeness, derivative closeness away from the cusp,
-    the expansion floor past the cusp, horizontal closeness of inverse
-    branches, vertical closeness of derivatives outside a shrinking
-    exclusion ball, and branch non-crossing. Thresholds for the closeness
-    checks scale with the Hoelder envelope of the branch exponents, since
-    a cusp shift of size O(eps) moves values by O(eps^B) near the cusp.
+    stat-stability fails its assumption-audits check unless every rung's
+    report has all_passed. Measures uniform closeness, derivative
+    closeness away from the cusp, the expansion floor past the cusp,
+    horizontal closeness of inverse branches, vertical closeness of
+    derivatives outside a shrinking exclusion ball, and branch
+    non-crossing. Thresholds for the closeness checks scale with the
+    Hoelder envelope of the branch exponents, since a cusp shift of size
+    O(eps) moves values by O(eps^B) near the cusp.
     """
     eps_eff = max(eps, 1e-12)
     b_min = 1.0

@@ -18,11 +18,6 @@ class HorizonExceeded(LorenzLabError):
     or the section box is too small.
     """
 
-    def __init__(self, message: str, horizon: float, last_state=None):
-        super().__init__(message)
-        self.horizon = horizon
-        self.last_state = last_state
-
 
 class DomainError(LorenzLabError, ValueError):
     """Input outside the documented domain of an operation."""

@@ -238,8 +238,7 @@ def _run_stochastic_stability(cfg: ExperimentConfig, rdir: Path,
     def average(eps: float, seed: int) -> tuple[float, float]:
         # always the asymmetric two-atom law: a symmetric law cancels the
         # first-order response and leaves nothing but noise to compare
-        law = NoiseLaw.delta_zero() if eps == 0.0 else \
-            NoiseLaw.discrete((eps / 2.0, eps))
+        law = _law(replace(cfg, eps=eps, noise_kind="discrete"))
         trace = sample_chain(law, sec, y0, n=cfg.n_transitions,
                              seed=seed, keep_segments=True)
         est = ratio_formula_estimate(_casimir_obs, trace,

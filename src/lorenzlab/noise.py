@@ -88,10 +88,7 @@ class NoiseLaw:
         if self.kind is NoiseKind.UNIFORM:
             return self.eps * (2.0 * u - 1.0)
         if self.kind is NoiseKind.TRUNC_GAUSS:
-            from scipy.stats import truncnorm
-
-            a, b = -self.eps / self.sigma, self.eps / self.sigma
-            return truncnorm.ppf(u, a, b, scale=self.sigma)
+            return self._truncnorm().ppf(u)
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(cum, u, side="right")
         return np.asarray(self.atoms)[np.minimum(idx, len(self.atoms) - 1)]
@@ -107,10 +104,13 @@ class NoiseLaw:
         if self.kind is NoiseKind.UNIFORM:
             weights = w / w.sum()
         else:
-            from scipy.stats import truncnorm
-
-            a, b = -self.eps / self.sigma, self.eps / self.sigma
-            dens = truncnorm.pdf(nodes, a, b, scale=self.sigma)
-            weights = w * dens
+            weights = w * self._truncnorm().pdf(nodes)
             weights = weights / weights.sum()
         return nodes, weights
+
+    def _truncnorm(self):
+        """The frozen scipy law of a trunc_gauss amplitude."""
+        from scipy.stats import truncnorm
+
+        return truncnorm(-self.eps / self.sigma, self.eps / self.sigma,
+                         scale=self.sigma)

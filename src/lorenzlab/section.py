@@ -152,15 +152,13 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
         remaining = section.t_max - t_accum
         if remaining <= 0:
             raise HorizonExceeded(
-                f"no section crossing within t_max = {section.t_max}",
-                horizon=section.t_max, last_state=y)
+                f"no section crossing within t_max = {section.t_max}")
         sol = _solve(fld.velocity, y, remaining, section.tol,
                      "crossing search failed", events=[event],
                      dense_output=want_segment)
         if sol.status == 0:
             raise HorizonExceeded(
-                f"no section crossing within t_max = {section.t_max}",
-                horizon=section.t_max, last_state=sol.y[:, -1])
+                f"no section crossing within t_max = {section.t_max}")
         t_ev = float(sol.t_events[0][0])
         y_ev = sol.y_events[0][0].copy()
         if want_segment:

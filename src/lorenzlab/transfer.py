@@ -23,7 +23,8 @@ import numpy as np
 from scipy import sparse
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from .cuspmap import IntervalMap, audit_assumptions, make_perturbed_family
+from .cuspmap import IntervalMap, _bin_counts, _moving_average, \
+    audit_assumptions, make_perturbed_family
 from .errors import (
     ConstructionError,
     DomainError,
@@ -52,6 +53,11 @@ class Density:
         if abs(float(np.sum(v)) / len(v) - 1.0) > 1e-12:
             raise DomainError("density must integrate to 1 within 1e-12")
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def from_mass(cls, mass: np.ndarray) -> "Density":
+        """The density whose bin masses are proportional to mass."""
+        return cls(values=mass / mass.sum() * len(mass))
 
     @property
     def n_bins(self) -> int:
@@ -217,15 +223,30 @@ def stationary_density(p: UlamMatrix, max_iter: int = 100_000) -> Density:
         raise SpectralError(
             f"power iteration did not reach {_POWER_TOL} in {max_iter} "
             "iterations")
-    mass = np.maximum(mass, 0.0)
-    mass /= mass.sum()
-    return Density(values=mass * p.n_bins)
+    return Density.from_mass(np.maximum(mass, 0.0))
+
+
+def _l1(values: np.ndarray) -> float:
+    """L1 norm of bin values on equal bins of [0, 1]."""
+    return float(np.sum(np.abs(values))) / len(values)
 
 
 def l1_distance(d1: Density, d2: Density) -> float:
     if d1.n_bins != d2.n_bins:
         raise ShapeError("densities must share the bin grid")
-    return float(np.sum(np.abs(d1.values - d2.values))) / d1.n_bins
+    return _l1(d1.values - d2.values)
+
+
+def _step(m, x: np.ndarray) -> np.ndarray:
+    """Images of x kept inside (0, 1): endpoint fixed points trap orbits."""
+    return np.clip(np.asarray(m(x), dtype=float), 1e-12, 1.0 - 1e-12)
+
+
+def _occupation(batches, n_bins: int) -> Density:
+    """Density of how often the points of all batches fall in each bin."""
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    return Density.from_mass(sum((_bin_counts(x, edges)[0] for x in batches),
+                                 np.zeros(n_bins, dtype=np.intp)))
 
 
 def _parallel_orbits(m, n_points: int, seed: int):
@@ -233,8 +254,7 @@ def _parallel_orbits(m, n_points: int, seed: int):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.02, 0.98, size=_N_CHAINS)
     for k in range(_BURN + int(math.ceil(n_points / _N_CHAINS))):
-        # stay strictly inside (0,1): endpoint fixed points would trap chains
-        x = np.clip(np.asarray(m(x), dtype=float), 1e-12, 1.0 - 1e-12)
+        x = _step(m, x)
         if k >= _BURN:
             yield x
 
@@ -248,13 +268,7 @@ def birkhoff_histogram(m, n_points: int, n_bins: int,
     per-step work vectorized; the pooled histogram estimates the same
     invariant density as one long orbit.
     """
-    counts = np.zeros(n_bins)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    for x in _parallel_orbits(m, n_points, seed):
-        idx = np.clip(np.digitize(x, edges) - 1, 0, n_bins - 1)
-        counts += np.bincount(idx, minlength=n_bins)
-    mass = counts / counts.sum()
-    return Density(values=mass * n_bins)
+    return _occupation(_parallel_orbits(m, n_points, seed), n_bins)
 
 
 @dataclass(frozen=True)
@@ -287,8 +301,6 @@ def statistical_stability_experiment(base: IntervalMap, eps_ladder,
     from scipy.stats import kendalltau
 
     eps_ladder = [float(e) for e in eps_ladder]
-    if any(e < 0 for e in eps_ladder):
-        raise DomainError("eps ladder must be non-negative")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise DomainError("eps ladder must be strictly decreasing")
     rho = stationary_density(build_ulam(base, n_bins))
@@ -316,10 +328,8 @@ def averaged_transfer_operator(family, law: NoiseLaw,
     by convexity. Atomic laws are averaged exactly.
     """
     nodes, weights = law.quadrature(_N_QUAD)
-    acc = None
-    for eta, w in zip(nodes, weights):
-        p = build_ulam(family(float(eta)), n_bins)
-        acc = w * p.matrix if acc is None else acc + w * p.matrix
+    acc = sum(w * build_ulam(family(float(eta)), n_bins).matrix
+              for eta, w in zip(nodes, weights))
     return UlamMatrix(matrix=acc.tocsr())
 
 
@@ -352,13 +362,12 @@ def quasi_holder_seminorm(values: np.ndarray, alpha: float,
 
 def quasi_holder_norm(values: np.ndarray, alpha: float, eps0: float) -> float:
     """Seminorm plus the L1 norm of the bin values."""
-    return quasi_holder_seminorm(values, alpha, eps0) + float(
-        np.sum(np.abs(values))) / len(values)
+    return quasi_holder_seminorm(values, alpha, eps0) + _l1(values)
 
 
 def build_test_dictionary(n_bins: int, alpha: float = 0.5,
                           eps0: float = 0.125) -> np.ndarray:
-    """Fixed 20-function dictionary, each normalized to quasi-Hoelder norm 1.
+    """Fixed 21-function dictionary, each normalized to quasi-Hoelder norm 1.
 
     Entries: constant; the monomials x, x^2, x^3; (1-x), (1-x)^2; x(1-x);
     three Gaussian bumps at 1/4, 1/2, 3/4; six smoothed step functions with
@@ -371,13 +380,8 @@ def build_test_dictionary(n_bins: int, alpha: float = 0.5,
     for c in (0.25, 0.5, 0.75):
         funcs.append(np.exp(-((x - c) ** 2) / 0.02))
     width = max(3, int(round(eps0 * n_bins / 4.0)))
-    kernel = np.ones(width) / width
     for k in range(1, 7):
-        step = (x <= k / 8.0).astype(float)
-        pad = width // 2
-        ext = np.concatenate([np.repeat(step[0], pad), step,
-                              np.repeat(step[-1], width - 1 - pad)])
-        funcs.append(np.convolve(ext, kernel, mode="valid"))
+        funcs.append(_moving_average((x <= k / 8.0).astype(float), width))
     for c in (0.25, 0.5, 0.75):
         funcs.append(np.maximum(0.0, 1.0 - 4.0 * np.abs(x - c)))
     funcs.append(np.sqrt(x))
@@ -388,9 +392,7 @@ def build_test_dictionary(n_bins: int, alpha: float = 0.5,
     return out
 
 
-def operator_distance(p: UlamMatrix, p_eps: UlamMatrix,
-                      dictionary: np.ndarray | None = None,
-                      alpha: float = 0.5, eps0: float = 0.125) -> float:
+def operator_distance(p: UlamMatrix, p_eps: UlamMatrix) -> float:
     """Dictionary lower bound on the operator distance into L1.
 
     Reports max_f ||(P - P_eps) f||_1 over the fixed dictionary of
@@ -401,14 +403,8 @@ def operator_distance(p: UlamMatrix, p_eps: UlamMatrix,
     """
     if p.n_bins != p_eps.n_bins:
         raise ShapeError("operators must share the bin grid")
-    if dictionary is None:
-        dictionary = build_test_dictionary(p.n_bins, alpha=alpha, eps0=eps0)
     diff = (p.matrix - p_eps.matrix).tocsr()
-    worst = 0.0
-    for f in dictionary:
-        img = diff @ f
-        worst = max(worst, float(np.sum(np.abs(img))) / p.n_bins)
-    return worst
+    return max(_l1(diff @ f) for f in build_test_dictionary(p.n_bins))
 
 
 @dataclass(frozen=True)
@@ -445,7 +441,7 @@ def lasota_yorke_probe(p: UlamMatrix, alpha: float = 0.5, eps0: float = 0.125,
         cur = f.copy()
         for k in range(n_iter + 1):
             semis[fi, k] = quasi_holder_seminorm(cur, alpha, eps0)
-            l1s[fi, k] = float(np.sum(np.abs(cur))) / p.n_bins
+            l1s[fi, k] = _l1(cur)
             if k < n_iter:
                 cur = p.apply_to_density(cur)
     top = np.argmax(semis, axis=0)
@@ -558,19 +554,16 @@ def pianigiani_check(m: IntervalMap, n_orbit: int = 1_000_000,
     mean_return = float(np.sum(np.arange(1, p_max + 1) * mu_induced))
     kac_product = mu_i * mean_return
 
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    hist = np.zeros(n_bins)
-    for p in range(1, p_max + 1):
-        pts = y[assigned & (tau == p)]
-        if len(pts) == 0:
-            continue
-        cur = pts.copy()
-        for _ in range(p):
-            idx = np.clip(np.digitize(cur, edges) - 1, 0, n_bins - 1)
-            hist += np.bincount(idx, minlength=n_bins)
-            cur = np.clip(np.asarray(m(cur), dtype=float), 1e-12, 1.0 - 1e-12)
-    mass = hist / hist.sum()
-    density = Density(values=mass * n_bins)
+    def excursions():
+        # each cylinder's points and their images up to the return
+        for p in range(1, p_max + 1):
+            cur = y[assigned & (tau == p)]
+            yield cur
+            for _ in range(p - 1 if len(cur) else 0):
+                cur = _step(m, cur)
+                yield cur
+
+    density = _occupation(excursions(), n_bins)
 
     keep = (m.x0 - b_left) > 1e-12
     ps = np.arange(len(b_left))[keep]

@@ -19,6 +19,7 @@ from lorenzlab.cuspmap import (
 from lorenzlab.errors import (
     ConstructionError,
     DomainError,
+    FitError,
     NumericalError,
     ShapeError,
     SingularPoint,
@@ -147,6 +148,19 @@ def test_fit_windows_consistent(synth):
         errs.append(abs(fit.alpha_left.value - synth.alpha_left)
                     + abs(fit.b_left.value - synth.b_left))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_fit_rejects_a_flat_cusp_window():
+    """1 - T vanishes on the whole cusp window: no log-log points remain."""
+
+    class FlatTop(SyntheticCuspMap):
+        def _values(self, x):
+            out = super()._values(x)
+            out[np.abs(x - self.x0) < 0.05] = 1.0
+            return out
+
+    with pytest.raises(FitError, match="fewer than 20"):
+        fit_branch_exponents(FlatTop())
 
 
 def test_inverse_branches(synth):

@@ -208,6 +208,13 @@ def test_quasi_holder_indicator_value():
         expected + 1.0, rel=0.02)
 
 
+@pytest.mark.parametrize("alpha,eps0", [(0.0, 0.125), (1.5, 0.125),
+                                        (0.5, 0.0), (0.5, 0.75)])
+def test_quasi_holder_parameter_validation(alpha, eps0):
+    with pytest.raises(DomainError):
+        quasi_holder_seminorm(np.ones(64), alpha, eps0)
+
+
 def test_quasi_holder_smooth_small():
     g = (np.arange(512) + 0.5) / 512
     vals = 1.0 + 0.2 * np.sin(2.0 * np.pi * g)
@@ -252,13 +259,20 @@ def test_operator_distance_properties(synth):
     assert 0.0 < d1 < d2
 
 
-def test_operator_distance_custom_dictionary(synth):
-    p = build_ulam(synth, 128)
-    q = build_ulam(make_perturbed_family(synth, 0.02), 128)
-    dic = build_test_dictionary(128)
-    assert dic.shape[1] == 128
-    d = operator_distance(p, q, dictionary=dic)
-    assert d > 0.0
+def test_dictionary_rows_have_unit_quasi_holder_norm():
+    for n_bins, alpha, eps0 in ((128, 0.5, 0.125), (100, 0.7, 0.25)):
+        dic = build_test_dictionary(n_bins, alpha=alpha, eps0=eps0)
+        assert dic.shape == (21, n_bins)
+        for f in dic:
+            assert quasi_holder_norm(f, alpha, eps0) == pytest.approx(
+                1.0, rel=1e-12)
+
+
+def test_distances_reject_mismatched_grids(synth):
+    with pytest.raises(ShapeError):
+        l1_distance(uniform_density(16), uniform_density(32))
+    with pytest.raises(ShapeError):
+        operator_distance(build_ulam(synth, 16), build_ulam(synth, 32))
 
 
 def test_pianigiani_inducing(synth):
@@ -288,6 +302,13 @@ def test_statistical_stability_ladder(synth):
     dists = [e.distance for e in rep.entries]
     assert dists == sorted(dists, reverse=True)
     assert all(e.audit_passed for e in rep.entries)
+
+
+@pytest.mark.parametrize("ladder", [(0.01, 0.02), (0.02, 0.02), (-0.01,)],
+                         ids=["increasing", "repeated", "negative"])
+def test_stability_ladder_validation(synth, ladder):
+    with pytest.raises(DomainError):
+        statistical_stability_experiment(synth, ladder, n_bins=16)
 
 
 def test_stability_resolution_robust(synth):
