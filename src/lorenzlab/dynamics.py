@@ -84,7 +84,8 @@ class FieldSpec:
         h.setflags(write=False)
         # The constant coefficients of dy2 and dy3 (module docstring).
         c2, c3 = -self.zeta, -(self.beta * self.shift)
-        for name, value in (("_h", h), ("_c2", c2), ("_c3", c3)):
+        for name, value in (("_h", h), ("_hf", tuple(h.tolist())),
+                            ("_c2", c2), ("_c3", c3)):
             object.__setattr__(self, name, value)
 
     @property
@@ -110,10 +111,11 @@ class FieldSpec:
 
     def velocity(self, y) -> np.ndarray:
         # Python floats round exactly like numpy scalars and cost less.
-        v = np.array(self._terms(*np.asarray(y).tolist()))
+        v = self._terms(*np.asarray(y).tolist())
         if self.eta != 0.0:
-            v = v + self.eta * self._h
-        return v
+            e, (h1, h2, h3) = self.eta, self._hf
+            v = (v[0] + e * h1, v[1] + e * h2, v[2] + e * h3)
+        return np.array(v)
 
     def velocity_batch(self, ys: np.ndarray, eta=None) -> np.ndarray:
         """Vectorized velocity for states of shape (..., 3).
@@ -128,6 +130,18 @@ class FieldSpec:
         if np.any(eta != 0.0):
             v = v + eta[..., None] * self._h
         return v
+
+    def jacobian_times(self, ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """J(y) v for stacks of states and vectors of shape (..., 3).
+
+        The field is quadratic, so this is one array expression; with
+        vs = velocity_batch(ys) it is the acceleration along the flow.
+        """
+        y1, y2, y3 = ys[..., 0], ys[..., 1], ys[..., 2]
+        v1, v2, v3 = vs[..., 0], vs[..., 1], vs[..., 2]
+        return np.stack((self.zeta * (v2 - v1),
+                         -v1 * y3 - y1 * v3 + self._c2 * v1 - v2,
+                         v1 * y2 + y1 * v2 - self.beta * v3), axis=-1)
 
     def jacobian(self, y) -> np.ndarray:
         y1, y2, y3 = y
@@ -164,9 +178,11 @@ class Trajectory:
 def _solve(rhs, y0, t_end: float, tol: float, context: str, **options):
     """The package's one ODE solve: dy/dt = rhs(y) on [0, t_end] with DOP853.
 
-    rtol = atol = tol; options (t_eval, events, dense_output) go to
-    solve_ivp unchanged. Raises IntegrationError, prefixed by context, on
-    a failed solve or a non-finite state.
+    rtol = atol = tol; options (t_eval, events) go to solve_ivp
+    unchanged. No caller asks for dense output: stored flow is resampled
+    from the accepted steps (section._sample_segment). Raises
+    IntegrationError, prefixed by context, on a failed solve or a
+    non-finite state.
     """
     sol = solve_ivp(lambda t, y: rhs(y), (0.0, t_end), y0, method="DOP853",
                     rtol=tol, atol=tol, **options)

@@ -64,11 +64,13 @@ def _sojourn_integrals(f, trace: MarkovRenewalTrace, start: int) -> np.ndarray:
 
 @dataclass
 class PdmpTrajectory:
-    """Dense trajectory of the resampled flow together with its chain.
+    """The trace's stored flow on absolute times, together with its chain.
 
     A view of the trace's stored flow: the states are the trace's flat
     flow_y, and the absolute times are flow_t plus each piece's start
-    time. The stored grid has spacing 1e-2 time units.
+    time. The stored grid has spacing 1e-2 time units; its states are a
+    quintic Hermite resample of the solver's accepted steps
+    (section._sample_segment).
     """
 
     trace: MarkovRenewalTrace

@@ -9,8 +9,10 @@ together with the max-type condition that g decreases through zero. The
 surface is the same for every forcing amplitude; forced trajectories cross
 it transversally, which keeps the embedded chain on one fixed section.
 Crossings are located by the integrator's event machinery (bracketing plus
-root refinement on dense output) and accepted only inside the box; the
-flow continues through maxima outside it.
+root refinement on the step's interpolant) and accepted only inside the
+box; the flow continues through maxima outside it. A stored flow segment
+is resampled from the solver's accepted steps, so keeping segments does
+not change the steps the solver takes.
 """
 
 from __future__ import annotations
@@ -133,16 +135,19 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
     """
     fld = section.field.with_eta(eta)
     y = as_state(y0)
-    dense = []  # (t0, t1, dense solution) of each solve window
+    nodes = []  # (times since the query, states) of each window's steps
     t_accum = 0.0
     event = _surface_event(fld)
+
+    def keep(sol) -> None:
+        if want_segment:
+            nodes.append((t_accum + sol.t, sol.y.T))
 
     def guard(y_in: np.ndarray) -> np.ndarray:
         nonlocal t_accum
         sol = _solve(fld.velocity, y_in, _GUARD_TIME, section.tol,
-                     "guard step failed", dense_output=want_segment)
-        if want_segment:
-            dense.append((t_accum, t_accum + _GUARD_TIME, sol.sol))
+                     "guard step failed")
+        keep(sol)
         t_accum += _GUARD_TIME
         return sol.y[:, -1]
 
@@ -154,15 +159,13 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
             raise HorizonExceeded(
                 f"no section crossing within t_max = {section.t_max}")
         sol = _solve(fld.velocity, y, remaining, section.tol,
-                     "crossing search failed", events=[event],
-                     dense_output=want_segment)
+                     "crossing search failed", events=[event])
         if sol.status == 0:
             raise HorizonExceeded(
                 f"no section crossing within t_max = {section.t_max}")
         t_ev = float(sol.t_events[0][0])
         y_ev = sol.y_events[0][0].copy()
-        if want_segment:
-            dense.append((t_accum, t_accum + t_ev, sol.sol))
+        keep(sol)  # a terminal event's last node is the crossing
         t_accum += t_ev
         if section.contains(y_ev):
             _, gdot = surface_derivatives(fld, y_ev)
@@ -171,25 +174,43 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
                 warnings.warn("near-tangential section crossing "
                               f"(dg/dt = {gdot:.3e})", TangencyWarning,
                               stacklevel=2)
-            segment = (_sample_segment(dense, t_accum, y0, y_ev)
+            segment = (_sample_segment(fld, nodes, t_accum, y0, y_ev)
                        if want_segment else None)
             return SectionEvent(t=t_accum, y=y_ev, tangent=tangent), segment
         # Surface crossing outside the box: not an event, flow onward.
         y = guard(y_ev)
 
 
-def _sample_segment(dense: list, tau: float, y_start,
+def _sample_segment(fld: FieldSpec, nodes: list, tau: float, y_start,
                     y_end) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the joined solve windows on a uniform grid over [0, tau]."""
+    """Resample the solver's accepted steps on a uniform grid over [0, tau].
+
+    nodes holds each solve window's step times (since the query) and
+    states; window joins repeat a node and are dropped. Between two nodes
+    the flow is the quintic Hermite interpolant of the states, velocities
+    and accelerations J(y) v at both ends (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6), evaluated for the whole grid in one pass. The
+    grid is linspace(0, tau, n + 1) with n = ceil(tau / 0.01), and its end
+    points are pinned to the start and the crossing.
+    """
+    t = np.concatenate([w[0] for w in nodes])
+    y = np.concatenate([w[1] for w in nodes])
+    step = np.append(np.diff(t) > 0.0, True)
+    t, y = t[step], y[step]
+    v = fld.velocity_batch(y)
+    a = fld.jacobian_times(y, v)
     n = max(1, int(math.ceil(tau / _GRID_STEP)))
     ts = np.linspace(0.0, tau, n + 1)
-    ys = np.empty((len(ts), 3))
-    idx = np.minimum(np.searchsorted([w[1] for w in dense], ts, side="left"),
-                     len(dense) - 1)
-    for i in np.unique(idx):
-        sel = idx == i
-        t0, t1, sol = dense[i]
-        ys[sel] = sol(np.clip(ts[sel] - t0, 0.0, t1 - t0)).T
+    i = np.clip(np.searchsorted(t, ts, side="right") - 1, 0, len(t) - 2)
+    j = i + 1
+    h = (t[j] - t[i])[:, None]
+    s = (ts - t[i])[:, None] / h
+    s3 = s ** 3
+    ys = (y[i] + s3 * (10.0 - 15.0 * s + 6.0 * s * s) * (y[j] - y[i])
+          + h * ((s - s3 * (6.0 - 8.0 * s + 3.0 * s * s)) * v[i]
+                 - s3 * (4.0 - 7.0 * s + 3.0 * s * s) * v[j])
+          + 0.5 * h * h * (s * s * (1.0 - s) ** 3 * a[i]
+                           + s3 * (1.0 - s) ** 2 * a[j]))
     ys[0] = as_state(y_start)
     ys[-1] = y_end
     return ts, ys

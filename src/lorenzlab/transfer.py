@@ -48,6 +48,8 @@ class Density:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ShapeError("density values must be 1-d")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("density values must be finite")
         if np.any(v < -1e-14):
             raise DomainError("density values must be non-negative")
         if abs(float(np.sum(v)) / len(v) - 1.0) > 1e-12:

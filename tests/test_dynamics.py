@@ -88,14 +88,32 @@ def test_jacobian_matches_finite_differences(field):
         np.testing.assert_allclose(jac, fd, atol=1e-6)
 
 
-def test_velocity_batch_matches_velocity(field):
+def test_velocity_batch_matches_velocity():
+    """The scalar RHS and the batched one round identically, for the
+    default forcing and an oblique one."""
     rng = np.random.default_rng(7)
     ys = rng.normal(scale=20.0, size=(64, 3))
     etas = rng.uniform(-0.5, 0.5, size=64)
     etas[:4] = 0.0
-    batch = field.velocity_batch(ys, eta=etas)
-    for y, eta, v in zip(ys, etas, batch):
-        assert np.array_equal(v, field.with_eta(eta).velocity(y))
+    for field in (FieldSpec(), FieldSpec(forcing=(0.6, -0.48, 0.64))):
+        batch = field.velocity_batch(ys, eta=etas)
+        for y, eta, v in zip(ys, etas, batch):
+            assert np.array_equal(v, field.with_eta(eta).velocity(y))
+        for eta in (0.0, 0.05, -0.7):
+            fld = field.with_eta(eta)
+            for y in ys:
+                assert np.array_equal(fld.velocity(y),
+                                      fld.velocity_batch(y[None])[0])
+
+
+def test_jacobian_times_is_jacobian_product():
+    """The stacked J(y) v used for stored-flow accelerations."""
+    fld = FieldSpec(eta=0.3, forcing=(0.6, -0.48, 0.64))
+    ys = np.random.default_rng(4).normal(scale=20.0, size=(50, 3))
+    acc = fld.jacobian_times(ys, fld.velocity_batch(ys))
+    for y, a in zip(ys, acc):
+        np.testing.assert_allclose(a, fld.jacobian(y) @ fld.velocity(y),
+                                   rtol=1e-13, atol=1e-10)
 
 
 def test_casimir_derivatives_match_finite_differences(field):

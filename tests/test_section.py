@@ -132,6 +132,30 @@ def test_chain_states_match_segments(chain_short):
         assert not seg.y.flags.writeable
 
 
+def test_storage_does_not_touch_the_chain(section, x_on_section,
+                                         chain_short):
+    """Kept segments are read off the solver's steps, never steer them."""
+    bare = sample_chain(chain_short.law, section, x_on_section,
+                        n=len(chain_short), seed=chain_short.seed)
+    assert bare.flow_t is None
+    for name in ("x", "tau", "sigma", "casimir", "tangent", "x_end"):
+        np.testing.assert_array_equal(getattr(bare, name),
+                                      getattr(chain_short, name))
+
+
+_RESAMPLE_TOL = 1e-5  # the benchmark's re-integration tolerance
+
+
+def test_stored_flow_matches_reintegration(section, chain_med):
+    """Stored states against a fresh solve of the sojourn on its grid."""
+    segments = chain_med.segments
+    for k in (0, 1, 300, 777, len(chain_med) - 1):
+        seg = segments[k]
+        ref = integrate(section.field.with_eta(seg.eta), chain_med.x[k],
+                        seg.t[-1], t_eval=seg.t)
+        assert np.max(np.abs(seg.y - ref.y)) < _RESAMPLE_TOL
+
+
 def continuity_defect(trace) -> float:
     """Max mismatch between stored x_n, x_{n+1} and sojourn endpoints."""
     off = trace.sojourn_offsets

@@ -89,6 +89,20 @@ def test_density_values_must_be_1d():
         Density(values=np.ones((4, 16)))
 
 
+def test_density_values_must_be_finite():
+    for bad in (np.nan, np.inf):
+        values = np.ones(8)
+        values[3] = bad
+        with pytest.raises(DomainError):
+            Density(values=values)
+
+
+def test_birkhoff_histogram_without_samples_raises():
+    """No orbit samples give 0/0 bin masses, which Density rejects."""
+    with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+        birkhoff_histogram(logistic, 0, 8)
+
+
 def test_ulam_matrix_must_be_square():
     """Rows of 0.2 sum to 1, so only the shape check can refuse 3 x 5."""
     assert build_ulam(doubling, 64).n_bins == 64
