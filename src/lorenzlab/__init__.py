@@ -41,13 +41,11 @@ from .section import (
 )
 from .cuspmap import (
     AuditReport,
-    ConjugatedMap,
     EmpiricalCuspMap,
     IntervalMap,
     SyntheticCuspMap,
     audit_assumptions,
     build_empirical_map,
-    find_expanding_conjugation,
     fit_branch_exponents,
     make_perturbed_family,
 )
@@ -59,7 +57,6 @@ from .transfer import (
     build_ulam,
     build_ulam_exact,
     l1_distance,
-    lasota_yorke_probe,
     operator_distance,
     pianigiani_check,
     quasi_holder_norm,
@@ -69,10 +66,8 @@ from .transfer import (
 )
 from .pdmp import (
     DriftReport,
-    EmpiricalMeasure,
     PdmpTrajectory,
     drift_check,
-    empirical_stationary_measure,
     lifted_measure_probe,
     ratio_formula_estimate,
     suspension_conjugation_check,

@@ -5,9 +5,8 @@ branch behaviour (slope alpha_left > 1 at 0, slope magnitude alpha_right < 1
 at 1, one-sided Hoelder exponents B_left, B_right in (0,1) at the cusp, so
 the derivative blows up there), and a monotone-interpolant map built from
 measured successive Casimir maxima. Both expose values, derivatives,
-inverse branches, exponent fitting, a smooth change of coordinates that
-can make the map uniformly expanding, and a one-parameter perturbed
-family with an assumption audit.
+inverse branches and exponent fitting, and the analytic family has a
+one-parameter perturbed family with an assumption audit.
 """
 
 from __future__ import annotations
@@ -545,110 +544,6 @@ def fit_branch_exponents(m: IntervalMap, delta: float = 1e-3) -> BranchFit:
     b_right = _slope(s, 1.0 - m(m.x0 + s), loglog=True)
     return BranchFit(alpha_left=alpha_left, alpha_right=alpha_right,
                      b_left=b_left, b_right=b_right, delta=float(delta))
-
-
-class ConjugationW:
-    """Smooth change of coordinates with density n * exp(-g x) x^b (1-x)^b.
-
-    W is the distribution function of that density, a strictly increasing
-    bijection of [0,1]. The density vanishes at the endpoints when b > 0,
-    which steepens a conjugated map near 0 and 1.
-    """
-
-    def __init__(self, gamma_bar: float, beta_bar: float, n_cells: int = 4096):
-        if gamma_bar < 0 or beta_bar < 0:
-            raise DomainError("gamma_bar and beta_bar must be non-negative")
-        self.gamma_bar = float(gamma_bar)
-        self.beta_bar = float(beta_bar)
-        self._identity = gamma_bar == 0.0 and beta_bar == 0.0
-        if self._identity:
-            self.normalization = 1.0
-            return
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        edges = np.linspace(0.0, 1.0, n_cells + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs = mid[:, None] + half[:, None] * nodes[None, :]
-        cell = np.sum(weights[None, :] * self._raw_density(xs), axis=1) * half
-        cum = np.concatenate([[0.0], np.cumsum(cell)])
-        self.normalization = 1.0 / cum[-1]
-        cum *= self.normalization
-        cum[-1] = 1.0
-        self._fwd = PchipInterpolator(edges, cum)
-        self._inv = PchipInterpolator(cum, edges)
-
-    def _raw_density(self, x):
-        b = self.beta_bar
-        return np.exp(-self.gamma_bar * x) * x ** b * (1.0 - x) ** b
-
-    def density(self, x):
-        """The derivative W' (analytic, normalized)."""
-        arr, scalar = _as_domain(x)
-        out = (np.full_like(arr, 1.0) if self._identity
-               else self.normalization * self._raw_density(arr))
-        return float(out[0]) if scalar else out
-
-    def __call__(self, x):
-        arr, scalar = _as_domain(x)
-        out = arr.copy() if self._identity else np.clip(self._fwd(arr), 0.0, 1.0)
-        out[arr == 0.0] = 0.0
-        out[arr == 1.0] = 1.0
-        return float(out[0]) if scalar else out
-
-    def inverse(self, u):
-        arr, scalar = _as_domain(u)
-        out = arr.copy() if self._identity else np.clip(self._inv(arr), 0.0, 1.0)
-        out[arr == 0.0] = 0.0
-        out[arr == 1.0] = 1.0
-        return float(out[0]) if scalar else out
-
-
-class ConjugatedMap(IntervalMap):
-    """W o T o W^-1: values W(T(W^-1(x))), derivative by the chain rule."""
-
-    def __init__(self, base: IntervalMap, w: ConjugationW):
-        self.base = base
-        self.w = w
-        self.x0 = float(w(base.x0))
-
-    def _values(self, x: np.ndarray) -> np.ndarray:
-        return self.w(self.base(self.w.inverse(x)))
-
-    def _derivatives(self, x: np.ndarray) -> np.ndarray:
-        u = self.w.inverse(x)
-        tu = self.base(u)
-        dens_u = self.w.density(u)
-        if np.any(dens_u == 0.0):
-            raise NumericalError("conjugation density vanishes inside (0,1)")
-        return self.base.derivative(u) * self.w.density(tu) / dens_u
-
-    def inf_abs_derivative(self, n_grid: int = 4096, edge: float = 1e-6) -> float:
-        """Infimum of |derivative| over an endpoint-clustered grid."""
-        k = np.arange(n_grid + 1)
-        x = edge + (1.0 - 2.0 * edge) * 0.5 * (1.0 - np.cos(np.pi * k / n_grid))
-        x = x[np.abs(x - self.x0) > 1e-9]
-        return float(np.min(np.abs(self._derivatives(x))))
-
-
-def find_expanding_conjugation(m: IntervalMap, gammas=None, betas=None,
-                               n_grid: int = 2048):
-    """Grid search for coordinates in which the map is uniformly expanding.
-
-    Returns (w, inf|derivative|) for the best candidate; the caller decides
-    whether inf > 1 is met.
-    """
-    if gammas is None:
-        gammas = np.arange(0.5, 5.01, 0.25)
-    if betas is None:
-        betas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    best = None
-    for b in betas:
-        for g in gammas:
-            w = ConjugationW(float(g), float(b))
-            inf_d = ConjugatedMap(m, w).inf_abs_derivative(n_grid=n_grid)
-            if best is None or inf_d > best[1]:
-                best = (w, inf_d)
-    return best
 
 
 def make_perturbed_family(m: IntervalMap, eps: float) -> SyntheticCuspMap:

@@ -4,10 +4,12 @@ The process follows the forced Lorenz field with a fixed amplitude until
 the trajectory crosses the section, draws a fresh amplitude there, and
 continues. On top of the simulator sit two independent estimators of the
 stationary functional (time average along the trajectory and the
-sojourn-weighted ratio over the embedded chain), the drift inequality
-audit for the Casimir Lyapunov function, and a consistency check between
-flowing in the suspension picture and flowing in phase space. Observables
-map (k, 3) states to (k,) values; any other shape raises DomainError.
+sojourn-weighted ratio over the embedded chain), a Simpson sum of the
+lifted measure that checks the ratio's trapezoid rule, the drift
+inequality audit for the Casimir Lyapunov function, and a consistency
+check between flowing in the suspension picture and flowing in phase
+space. Observables map (k, 3) states to (k,) values; any other shape
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -60,6 +62,26 @@ def _sojourn_integrals(f, trace: MarkovRenewalTrace, start: int) -> np.ndarray:
     off = off - off[0]
     terms[off[1:-1] - 1] = 0.0  # from the end of one sojourn to the next
     return np.add.reduceat(terms, off[:-1])
+
+
+def _simpson_weights(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on uniform pieces t[off[p]:off[p + 1]].
+
+    A piece with an odd number n of intervals takes the 3/8 rule on its
+    last three, and a piece of one interval the trapezoid rule.
+    """
+    n = np.diff(off) - 1
+    nn = np.repeat(n, n + 1)
+    j = np.arange(len(t)) - np.repeat(off[:-1], n + 1)  # index in its piece
+    m = nn - 3 * (nn % 2)  # intervals under the plain Simpson panels
+    c = np.where(j % 2 == 1, 4.0, 2.0) / 3.0
+    c[(j == 0) | (j == m)] = 1.0 / 3.0
+    c[(j > m) | (m < 2)] = 0.0
+    tail = (nn % 2 == 1) & (nn >= 3) & (j >= nn - 3)
+    c[tail] += np.array([3.0, 9.0, 9.0, 3.0])[j[tail] - nn[tail] + 3] / 8.0
+    c[nn == 1] = 0.5
+    h = (t[off[1:] - 1] - t[off[:-1]]) / n
+    return c * np.repeat(h, n + 1)
 
 
 @dataclass
@@ -159,63 +181,17 @@ def lifted_measure_probe(trace: MarkovRenewalTrace, f,
     """Stationary functional through the suspension picture.
 
     The lifted invariant measure normalizes the under-roof integral of f
-    by the integrated roof function. Both come from the same sojourn
-    quadrature as ratio_formula_estimate, the roof as the quadrature of
-    f = 1, and are summed with compensated (math.fsum) sums, so the
-    comparison with the ratio estimate isolates plain against compensated
-    summation. f maps (k, 3) states to (k,) values.
+    by the integrated roof function. Both are composite Simpson sums over
+    the stored sojourns, the roof as the same rule applied to f = 1, so
+    f = 1 gives exactly 1. Against ratio_formula_estimate's trapezoid
+    rule on the same grid, the gap measures quadrature error. f maps
+    (k, 3) states to (k,) values.
     """
     _n_used(trace, burn_in)
-    under_roof = _sojourn_integrals(f, trace, burn_in)
-    return math.fsum(under_roof) / math.fsum(_roofs(trace, burn_in))
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Chain states after burn-in, as a sample measure on the section."""
-
-    points: np.ndarray
-    sojourns: np.ndarray
-    law: NoiseLaw
-    burn_in: int
-
-    def integrate(self, phi) -> float:
-        return float(np.mean(_observe(phi, self.points)))
-
-    def sojourn_cdf(self, t) -> np.ndarray:
-        """Pooled empirical CDF of the sojourn times."""
-        s = np.sort(self.sojourns)
-        return np.searchsorted(s, np.atleast_1d(t), side="right") / len(s)
-
-
-def empirical_stationary_measure(trace: MarkovRenewalTrace,
-                                 burn_in: int = _DEFAULT_BURN_IN
-                                 ) -> EmpiricalMeasure:
-    if len(trace) <= burn_in:
-        raise DomainError("trace shorter than the burn-in")
-    return EmpiricalMeasure(points=trace.x[burn_in:].copy(),
-                            sojourns=trace.tau[burn_in:].copy(),
-                            law=trace.law, burn_in=burn_in)
-
-
-_WEAK_PROBE_SCALE = 50.0
-
-
-def weak_probe_functions():
-    """Five fixed Lipschitz test functions for weak-convergence probes."""
-    return (
-        lambda y: y[..., 0] / _WEAK_PROBE_SCALE,
-        lambda y: y[..., 1] / _WEAK_PROBE_SCALE,
-        lambda y: y[..., 2] / _WEAK_PROBE_SCALE,
-        lambda y: np.linalg.norm(y, axis=-1) / _WEAK_PROBE_SCALE,
-        lambda y: np.exp(-np.sum(y * y, axis=-1) / 2000.0),
-    )
-
-
-def weak_probe_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
-    """Max test-function gap between two empirical measures."""
-    return max(abs(m1.integrate(phi) - m2.integrate(phi))
-               for phi in weak_probe_functions())
+    off = trace.sojourn_offsets[burn_in:]
+    w = _simpson_weights(trace.flow_t[off[0]:off[-1]], off - off[0])
+    fv = _observe(f, trace.flow_y[off[0]:off[-1]])
+    return float(np.sum(w * fv) / np.sum(w))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ discretization of Ding and Zhou (hat functions on the bin centres); exact
 bin-indicator (Ulam) rows are kept for fold-shaped maps as a reference.
 On top of that sit the statistical-stability experiment for perturbed cusp
 families, noise-averaged operators, a computable lower bound for the
-operator distance, a discrete quasi-Hoelder seminorm with a contraction
-probe, and the inducing-scheme reconstruction of the invariant measure
-from first returns to an interval around the cusp.
+operator distance over a dictionary normalized in a discrete
+quasi-Hoelder norm, and the inducing-scheme reconstruction of the
+invariant measure from first returns to an interval around the cusp.
 """
 
 from __future__ import annotations
@@ -89,13 +89,6 @@ class UlamMatrix:
     def n_bins(self) -> int:
         return self.matrix.shape[0]
 
-    def apply_to_density(self, values: np.ndarray) -> np.ndarray:
-        """Push bin values forward by the discretized transfer operator."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_bins,):
-            raise ShapeError("value vector length must equal n_bins")
-        return self.matrix.T @ values
-
 
 _N_SUB = 64  # stratified sub-samples per bin; 1/_N_SUB is an exact binary float
 _POWER_TOL = 1e-12  # L1 step at which power iteration stops
@@ -103,6 +96,8 @@ _N_CHAINS = 1024  # parallel orbits of the map-sampling estimators
 _BURN = 200  # discarded steps of each parallel orbit
 _N_QUAD = 16  # quadrature nodes of the noise-averaged operator
 _COVERAGE_TARGET = 0.995  # first-return mass below which pianigiani warns
+_DICT_ALPHA = 0.5  # quasi-Hoelder exponent of the test dictionary's norm
+_DICT_EPS0 = 0.125  # largest window radius of that norm
 
 
 def _hat_values(y: np.ndarray, n_bins: int) -> sparse.csr_matrix:
@@ -367,8 +362,7 @@ def quasi_holder_norm(values: np.ndarray, alpha: float, eps0: float) -> float:
     return quasi_holder_seminorm(values, alpha, eps0) + _l1(values)
 
 
-def build_test_dictionary(n_bins: int, alpha: float = 0.5,
-                          eps0: float = 0.125) -> np.ndarray:
+def build_test_dictionary(n_bins: int) -> np.ndarray:
     """Fixed 21-function dictionary, each normalized to quasi-Hoelder norm 1.
 
     Entries: constant; the monomials x, x^2, x^3; (1-x), (1-x)^2; x(1-x);
@@ -381,7 +375,7 @@ def build_test_dictionary(n_bins: int, alpha: float = 0.5,
                                1.0 - x, (1.0 - x) ** 2, x * (1.0 - x)]
     for c in (0.25, 0.5, 0.75):
         funcs.append(np.exp(-((x - c) ** 2) / 0.02))
-    width = max(3, int(round(eps0 * n_bins / 4.0)))
+    width = max(3, int(round(_DICT_EPS0 * n_bins / 4.0)))
     for k in range(1, 7):
         funcs.append(_moving_average((x <= k / 8.0).astype(float), width))
     for c in (0.25, 0.5, 0.75):
@@ -390,7 +384,7 @@ def build_test_dictionary(n_bins: int, alpha: float = 0.5,
     funcs.append(np.sqrt(1.0 - x))
     out = np.empty((len(funcs), n_bins))
     for i, f in enumerate(funcs):
-        out[i] = f / quasi_holder_norm(f, alpha, eps0)
+        out[i] = f / quasi_holder_norm(f, _DICT_ALPHA, _DICT_EPS0)
     return out
 
 
@@ -407,57 +401,6 @@ def operator_distance(p: UlamMatrix, p_eps: UlamMatrix) -> float:
         raise ShapeError("operators must share the bin grid")
     diff = (p.matrix - p_eps.matrix).tocsr()
     return max(_l1(diff @ f) for f in build_test_dictionary(p.n_bins))
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Least-squares contraction estimate over operator iterates."""
-
-    kappa: float
-    d_const: float
-    contracting: bool
-    n_iter: int
-    alpha: float
-    eps0: float
-
-
-def lasota_yorke_probe(p: UlamMatrix, alpha: float = 0.5, eps0: float = 0.125,
-                       n_iter: int = 12) -> ProbeReport:
-    """Fit seminorm(L f) <= kappa seminorm(f) + D ||f||_1 over iterates.
-
-    Report-only diagnostic. The dictionary is iterated through the
-    discretized operator and the per-step maximum of the seminorms is
-    fitted against its predecessor: the inequality is an envelope bound,
-    so the regression tracks the slowest-contracting direction rather
-    than the dictionary average. Steps where the envelope has decayed to
-    the resolution floor are dropped, and a tiny ridge on D keeps the fit
-    determined when seminorm and L1 sequences are collinear (identity-like
-    matrices).
-    """
-    if n_iter < 10:
-        raise DomainError("n_iter must be at least 10")
-    dictionary = build_test_dictionary(p.n_bins, alpha=alpha, eps0=eps0)
-    semis = np.empty((len(dictionary), n_iter + 1))
-    l1s = np.empty((len(dictionary), n_iter + 1))
-    for fi, f in enumerate(dictionary):
-        cur = f.copy()
-        for k in range(n_iter + 1):
-            semis[fi, k] = quasi_holder_seminorm(cur, alpha, eps0)
-            l1s[fi, k] = _l1(cur)
-            if k < n_iter:
-                cur = p.apply_to_density(cur)
-    top = np.argmax(semis, axis=0)
-    env = semis[top, np.arange(n_iter + 1)]
-    env_l1 = l1s[top, np.arange(n_iter + 1)]
-    keep = env[1:] >= 1e-3 * env[0]
-    a = np.column_stack([env[:-1][keep], env_l1[:-1][keep]])
-    y = env[1:][keep]
-    gram = a.T @ a + np.diag([0.0, 1e-8])
-    coef = np.linalg.solve(gram, a.T @ y)
-    kappa, d_const = float(coef[0]), float(coef[1])
-    return ProbeReport(kappa=kappa, d_const=d_const,
-                       contracting=kappa < 1.0 - 1e-3,
-                       n_iter=n_iter, alpha=alpha, eps0=eps0)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,15 @@
-"""Cusp-map construction, branch fits, conjugation, perturbation audits."""
+"""Cusp-map construction, branch fits, perturbation audits."""
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from lorenzlab.cuspmap import (
-    ConjugatedMap,
-    ConjugationW,
     EmpiricalCuspMap,
     IntervalMap,
     SyntheticCuspMap,
     audit_assumptions,
     cylinder_anatomy,
-    find_expanding_conjugation,
     fit_branch_exponents,
     make_perturbed_family,
 )
@@ -276,59 +273,6 @@ def test_empirical_export(tmp_path, synth):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "m_n,m_next"
     assert len(lines) == 1 + 3000
-
-
-def test_identity_conjugation(synth):
-    ident = ConjugationW(gamma_bar=0.0, beta_bar=0.0)
-    tbar = ConjugatedMap(synth, ident)
-    xs = np.linspace(0.02, 0.98, 41)
-    np.testing.assert_allclose(tbar(xs), synth(xs), atol=1e-12)
-
-
-def test_conjugation_w_is_distribution():
-    w = ConjugationW(1.75, 1.0)
-    assert w(0.0) == 0.0
-    assert w(1.0) == pytest.approx(1.0, abs=1e-12)
-    g = np.linspace(0.0, 1.0, 101)
-    vals = np.array([w(x) for x in g])
-    assert np.all(np.diff(vals) > 0)
-    dens = np.array([w.density(x) for x in g])
-    assert np.trapezoid(dens, g) == pytest.approx(1.0, abs=1e-3)
-    assert w.inverse(w(0.37)) == pytest.approx(0.37, abs=1e-9)
-
-
-def test_conjugation_moves_cusp(synth):
-    w = ConjugationW(1.75, 1.0)
-    tbar = ConjugatedMap(synth, w)
-    assert tbar.x0 == pytest.approx(w(synth.x0), abs=1e-12)
-    assert tbar(tbar.x0 - 1e-6) > 1.0 - 1e-2
-    assert tbar(tbar.x0 + 1e-6) > 1.0 - 1e-2
-
-
-def test_conjugation_functorial(synth):
-    w = ConjugationW(1.75, 1.0)
-    tbar = ConjugatedMap(synth, w)
-    xs = np.linspace(0.1, 0.9, 9)
-    lhs = xs.copy()
-    for _ in range(5):
-        lhs = tbar(lhs)
-    rhs = np.array([w(v) for v in _iterate(synth,
-                                           [w.inverse(x) for x in xs], 5)])
-    np.testing.assert_allclose(lhs, rhs, atol=1e-6)
-
-
-def _iterate(m, xs, n):
-    out = np.asarray(xs, dtype=float)
-    for _ in range(n):
-        out = m(out)
-    return out
-
-
-def test_expanding_conjugation_found(synth):
-    w, inf_d = find_expanding_conjugation(synth)
-    assert inf_d > 1.0
-    tbar = ConjugatedMap(synth, w)
-    assert tbar.inf_abs_derivative() == pytest.approx(inf_d, rel=1e-6)
 
 
 def test_perturbed_family_limits(synth):

@@ -9,19 +9,15 @@ from lorenzlab import (
     NoiseLaw,
     SectionSpec,
     drift_check,
-    empirical_stationary_measure,
     integrate,
     lifted_measure_probe,
     ratio_formula_estimate,
     sample_chain,
     suspension_conjugation_check,
 )
+from lorenzlab import pdmp
 from lorenzlab.errors import DomainError, HorizonExceeded, TangencyWarning
-from lorenzlab.pdmp import (
-    PdmpTrajectory,
-    weak_probe_distance,
-    weak_probe_functions,
-)
+from lorenzlab.pdmp import PdmpTrajectory
 
 
 def _trajectory(law, section, y_start, n, seed, t_final):
@@ -167,11 +163,48 @@ def test_ratio_normalization(chain_med):
 
 
 def test_ratio_and_lifted_agree(chain_med):
-    """Same quadrature through two bookkeeping routes."""
+    """Trapezoid and Simpson on one stored grid agree to 1e-6 relative."""
     cas = lambda y: np.einsum("ij,ij->i", y, y)
     est = ratio_formula_estimate(cas, chain_med, burn_in=100)
     probe = lifted_measure_probe(chain_med, cas, burn_in=100)
-    assert abs(est.value - probe) < 1e-12
+    assert abs(est.value - probe) <= 1e-6 * abs(est.value)
+
+
+def test_simpson_weights_integrate_cubics():
+    """Exact on a cubic for even and odd interval counts, per piece."""
+    counts = (64, 65, 2, 3, 5)
+    ends = np.array([0.7, 1.3, 0.4, 0.9, 1.1])
+    t = np.concatenate([np.linspace(0.0, e, n + 1)
+                        for n, e in zip(counts, ends)])
+    off = np.cumsum([0] + [n + 1 for n in counts])
+    w = pdmp._simpson_weights(t, off)
+    got = np.add.reduceat(w * (2.0 * t ** 3 - t ** 2 + 0.5 * t + 1.0),
+                          off[:-1])
+    exact = ends ** 4 / 2.0 - ends ** 3 / 3.0 + ends ** 2 / 4.0 + ends
+    np.testing.assert_allclose(got, exact, rtol=1e-13)
+    single = pdmp._simpson_weights(np.array([0.0, 0.5]), np.array([0, 2]))
+    np.testing.assert_array_equal(single, [0.25, 0.25])
+
+
+def _drop_last_interval(f, trace, start):
+    """_sojourn_integrals with a fault: each sojourn loses its last interval."""
+    off = trace.sojourn_offsets[start:]
+    terms = pdmp._trapezoid_terms(f, trace.flow_t[off[0]:],
+                                  trace.flow_y[off[0]:])
+    off = off - off[0]
+    terms[off[1:-1] - 1] = 0.0
+    terms[off[1:] - 2] = 0.0
+    return np.add.reduceat(terms, off[:-1])
+
+
+def test_ratio_lifted_gap_detects_quadrature_fault(chain_med, monkeypatch):
+    """The trapezoid losing one interval per sojourn breaks the 1e-6 bound."""
+    cas = lambda y: np.einsum("ij,ij->i", y, y)
+    probe = lifted_measure_probe(chain_med, cas, burn_in=100)
+    monkeypatch.setattr(pdmp, "_sojourn_integrals", _drop_last_interval)
+    faulty = ratio_formula_estimate(cas, chain_med, burn_in=100)
+    assert lifted_measure_probe(chain_med, cas, burn_in=100) == probe
+    assert abs(faulty.value - probe) > 1e-6 * abs(faulty.value)
 
 
 def test_estimator_duality(chain_med):
@@ -211,29 +244,6 @@ def test_drift_floor_is_classical_forcing_norm(section, x_on_section):
     rep = drift_check(law, tr)
     assert rep.k_eps == pytest.approx((304.0 / 3.0) ** 2, rel=1e-12)
     assert rep.violations_strong == 0
-
-
-def test_empirical_measure(chain_med):
-    m = empirical_stationary_measure(chain_med, burn_in=100)
-    assert m.integrate(lambda y: np.ones(len(y))) == 1.0
-    grid = np.linspace(0.0, 2.0, 41)
-    cdf = m.sojourn_cdf(grid)
-    assert cdf[0] == 0.0
-    assert cdf[-1] == 1.0
-    assert np.all(np.diff(cdf) >= 0.0)
-    second = m.integrate(lambda y: np.einsum("ij,ij->i", y, y))
-    assert second > 0.0
-
-
-def test_weak_probe_distance(section, y_start, chain_med):
-    probes = weak_probe_functions()
-    assert len(probes) >= 3
-    m1 = empirical_stationary_measure(chain_med, burn_in=100)
-    assert weak_probe_distance(m1, m1) == 0.0
-    other = sample_chain(NoiseLaw.uniform(0.1), chain_med.section, y_start,
-                         n=400, seed=2)
-    m2 = empirical_stationary_measure(other, burn_in=100)
-    assert weak_probe_distance(m1, m2) > 0.0
 
 
 def test_conjugation_check(section, x_on_section):
