@@ -4,9 +4,9 @@ Two constructions share one interface: an analytic family with prescribed
 branch behaviour (slope alpha_left > 1 at 0, slope magnitude alpha_right < 1
 at 1, one-sided Hoelder exponents B_left, B_right in (0,1) at the cusp, so
 the derivative blows up there), and a monotone-interpolant map built from
-measured successive Casimir maxima. Both expose values, derivatives,
-inverse branches and exponent fitting, and the analytic family has a
-one-parameter perturbed family with an assumption audit.
+measured successive Casimir maxima. Both expose values, inverse branches
+and exponent fitting; the analytic family also has closed-form
+derivatives and a one-parameter perturbed family with an assumption audit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ConstructionError,
@@ -44,19 +43,9 @@ class IntervalMap:
     def _values(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _derivatives(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def __call__(self, x):
         arr, scalar = _as_domain(x)
         out = self._values(arr)
-        return float(out[0]) if scalar else out
-
-    def derivative(self, x):
-        arr, scalar = _as_domain(x)
-        if np.any(arr == self.x0):
-            raise SingularPoint(f"derivative diverges at the cusp x0 = {self.x0}")
-        out = self._derivatives(arr)
         return float(out[0]) if scalar else out
 
     def inverse_left(self, y):
@@ -228,9 +217,6 @@ class SyntheticCuspMap(IntervalMap):
         if np.max(dr) >= 0:
             raise ConstructionError(
                 "right branch is not decreasing for the requested constants")
-        vals = self._values(np.concatenate([xl, xr]))
-        if np.min(vals) < -1e-12 or np.max(vals) > 1.0 + 1e-12:
-            raise ConstructionError("branch values leave [0, 1]")
 
     def _values(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -241,6 +227,13 @@ class SyntheticCuspMap(IntervalMap):
         u = np.clip(x[~left] - self.x0, 0.0, None)
         out[~left] = 1.0 - self.amp_right * u ** self.b_right * _horner(self._h, u)
         return np.clip(out, 0.0, 1.0)
+
+    def derivative(self, x):
+        arr, scalar = _as_domain(x)
+        if np.any(arr == self.x0):
+            raise SingularPoint(f"derivative diverges at the cusp x0 = {self.x0}")
+        out = self._derivatives(arr)
+        return float(out[0]) if scalar else out
 
     def _derivatives(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -268,11 +261,12 @@ class _LogBranch:
     def __init__(self, u: np.ndarray, phi: np.ndarray):
         if len(u) < 4:
             raise ShapeError("too few usable bins on one branch of the scatter")
+        from scipy.interpolate import PchipInterpolator
+
         self._p = PchipInterpolator(u, phi)
-        self._pd = self._p.derivative()
         self._u0 = float(u[0])
         self._phi0 = float(phi[0])
-        self._slope0 = max(float(self._pd(u[0])), 1e-12)
+        self._slope0 = max(float(self._p.derivative()(u[0])), 1e-12)
 
     def _phi(self, u: np.ndarray) -> np.ndarray:
         tail = u < self._u0
@@ -281,20 +275,12 @@ class _LogBranch:
         out[~tail] = self._p(u[~tail])
         return out
 
-    def _phi_deriv(self, u: np.ndarray) -> np.ndarray:
-        return np.where(u < self._u0, self._slope0, self._pd(np.maximum(u, self._u0)))
-
     def value(self, s: np.ndarray) -> np.ndarray:
         """T at distance s from the cusp (s = 0 maps to the top value 1)."""
         out = np.ones_like(s)
         pos = s > 0.0
         out[pos] = 1.0 - np.exp(self._phi(np.log(s[pos])))
         return out
-
-    def slope_mag(self, s: np.ndarray) -> np.ndarray:
-        """|dT/dx| at distance s > 0 from the cusp."""
-        u = np.log(s)
-        return np.exp(self._phi(u)) * self._phi_deriv(u) / s
 
 
 class EmpiricalCuspMap(IntervalMap):
@@ -341,13 +327,6 @@ class EmpiricalCuspMap(IntervalMap):
         out[~left] = self._right.value(x[~left] - self.x0)
         return np.clip(out, 0.0, 1.0)
 
-    def _derivatives(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        left = x < self.x0
-        out[left] = self._left.slope_mag(self.x0 - x[left])
-        out[~left] = -self._right.slope_mag(x[~left] - self.x0)
-        return out
-
 
 def _log_branch(pairs: np.ndarray, x0: float, side: int) -> _LogBranch:
     dist = (x0 - pairs[:, 0]) if side < 0 else (pairs[:, 0] - x0)
@@ -360,17 +339,14 @@ def _log_branch(pairs: np.ndarray, x0: float, side: int) -> _LogBranch:
     counts, uk, pk = _bin_counts(u, edges, u, phi)
     good = counts >= 3
     uk, pk = uk[good] / counts[good], pk[good] / counts[good]
-    # Anchor the far end of the branch: at distance x0 (resp. 1 - x0) the
-    # branch reaches the interval endpoint where T = 0, i.e. log(1-T) = 0.
+    # Anchor the far end at log(1-T) = 0 (T = 0 at distance x0, resp. 1 - x0);
+    # every binned log(1 - y) is <= 0, so the running maximum keeps it last.
     uk = np.concatenate([uk[uk < top - 1e-9], [top]])
     pk = np.concatenate([pk[: len(uk) - 1], [0.0]])
     pk = np.maximum.accumulate(pk)
     strict = np.concatenate([[True], np.diff(pk) > 1e-12])
     strict[-1] = True
-    uk, pk = uk[strict], pk[strict]
-    if pk[-1] != 0.0:
-        uk, pk = np.concatenate([uk[:-1], [top]]), np.concatenate([pk[:-1], [0.0]])
-    return _LogBranch(uk, pk)
+    return _LogBranch(uk[strict], pk[strict])
 
 
 def _refine_x0_powerlaw(x: np.ndarray, y: np.ndarray, coarse: float) -> float:
@@ -610,8 +586,8 @@ def cylinder_anatomy(m: IntervalMap) -> dict:
             "b_right1": float(b_right1)}
 
 
-def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
-                      n_grid: int = 4096) -> AuditReport:
+def audit_assumptions(base: SyntheticCuspMap, pert: SyntheticCuspMap,
+                      eps: float, n_grid: int = 4096) -> AuditReport:
     """Audit of the perturbation-family conditions; a failed one is reported.
 
     stat-stability fails its assumption-audits check unless every rung's
@@ -624,10 +600,7 @@ def audit_assumptions(base: IntervalMap, pert: IntervalMap, eps: float,
     O(eps) moves values by O(eps^B) near the cusp.
     """
     eps_eff = max(eps, 1e-12)
-    b_min = 1.0
-    for mm in (base, pert):
-        if isinstance(mm, SyntheticCuspMap):
-            b_min = min(b_min, mm.b_left, mm.b_right)
+    b_min = min(base.b_left, base.b_right, pert.b_left, pert.b_right)
     grid = np.linspace(1e-6, 1.0 - 1e-6, n_grid)
     checks: dict[str, CheckResult] = {}
 

@@ -143,12 +143,6 @@ class FieldSpec:
                          -v1 * y3 - y1 * v3 + self._c2 * v1 - v2,
                          v1 * y2 + y1 * v2 - self.beta * v3), axis=-1)
 
-    def jacobian(self, y) -> np.ndarray:
-        y1, y2, y3 = y
-        z = self.zeta
-        return np.array([[-z, z, 0.0], [-y3 + self._c2, -1.0, -y1],
-                         [y2, y1, -self.beta]])
-
     def with_eta(self, eta: float) -> "FieldSpec":
         return replace(self, eta=float(eta))
 

@@ -45,16 +45,17 @@ class SectionSpec:
     25 used throughout is checked against attractor crossings by the
     calibration oracle in tests/test_section.py. t_max: horizon for a
     single crossing search. tol: integrator tolerance.
-    root_tol: the residual bound |g| that crossings are held to by the
-    tests and the benchmark checks; the search itself does not read it.
-    tangency_tol: |dg/dt| below this flags a grazing event.
+    tangency_tol: |dg/dt| below this flags a grazing event. The class
+    constant root_tol bounds the residual |g| that the tests and the
+    benchmark checks hold crossings to; the search does not read it.
     """
+
+    root_tol = 1e-9
 
     field: FieldSpec
     eps_box: float
     t_max: float = 100.0
     tol: float = 1e-10
-    root_tol: float = 1e-9
     tangency_tol: float = 1e-6
 
     def __post_init__(self):
@@ -104,7 +105,7 @@ def surface_derivatives(fld: FieldSpec, y) -> tuple[float, float]:
     y = as_state(y)
     v = fld.velocity(y)
     v0 = v - fld.eta * fld.h
-    gdot = 2.0 * (float(np.dot(fld.jacobian(y) @ v, y)) + float(np.dot(v0, v)))
+    gdot = 2.0 * float(np.dot(fld.jacobian_times(y, v), y) + np.dot(v0, v))
     return _g(fld, y, v), gdot
 
 

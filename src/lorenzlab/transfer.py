@@ -21,10 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .cuspmap import IntervalMap, _bin_counts, _moving_average, \
-    audit_assumptions, make_perturbed_family
+    SyntheticCuspMap, audit_assumptions, make_perturbed_family
 from .errors import (
     ConstructionError,
     DomainError,
@@ -287,7 +286,7 @@ class StabilityReport:
         return np.array([e.distance for e in self.entries])
 
 
-def statistical_stability_experiment(base: IntervalMap, eps_ladder,
+def statistical_stability_experiment(base: SyntheticCuspMap, eps_ladder,
                                      n_bins: int) -> StabilityReport:
     """Invariant-density response of the perturbed family along a ladder.
 
@@ -340,6 +339,8 @@ def quasi_holder_seminorm(values: np.ndarray, alpha: float,
     sup-norm embedding stays valid). The seminorm is the sup over radii of
     the scaled mean oscillation. values holds one value per bin.
     """
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     if not 0.0 < eps0 <= 0.5:

@@ -17,8 +17,9 @@ from lorenzlab.config import (
     read_config_file,
 )
 from lorenzlab.errors import ConfigError
-from lorenzlab.experiments import run_directory
+from lorenzlab.experiments import _law, run_directory
 from lorenzlab.manifest import file_sha256, write_csv
+from lorenzlab.noise import NoiseLaw
 
 
 def _fast_attractor_args(out_dir):
@@ -72,6 +73,32 @@ class TestConfigParsing:
     def test_negative_eps_rejected(self):
         with pytest.raises(ConfigError, match="eps must be >= 0"):
             make_config({"eps": "-0.01"})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("experiment", "lorenz", "unknown experiment 'lorenz'"),
+        ("noise_kind", "cauchy", "unknown noise_kind 'cauchy'"),
+        ("t_final", "0", "t_final must be > 0"),
+        ("eps_box", "-25", "eps_box must be > 0"),
+        ("n_transitions", "0", "n_transitions must be >= 1"),
+        ("burn_in", "-1", "burn_in must be >= 0"),
+        ("n_bins", "15", "n_bins must be >= 16"),
+        ("seed", "-3", "seed must be >= 0"),
+    ])
+    def test_out_of_range_value_rejected(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            make_config({key: value})
+
+    def test_noise_kind_selects_the_law(self):
+        def law(kind, eps=0.05):
+            return _law(make_config({"noise_kind": kind, "eps": eps}))
+
+        assert law("delta_zero") == NoiseLaw.delta_zero()
+        for kind in ("uniform", "discrete", "trunc_gauss"):
+            assert law(kind, eps=0.0) == NoiseLaw.delta_zero()
+        assert law("uniform") == NoiseLaw.uniform(0.05)
+        assert law("discrete") == NoiseLaw.discrete((0.025, 0.05))
+        assert law("trunc_gauss") == NoiseLaw.trunc_gauss(sigma=0.025,
+                                                          eps=0.05)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -230,10 +257,12 @@ def test_csv_writer_keeps_integers_exact(tmp_path):
 
 
 def test_import_does_not_load_scipy_stats():
-    """scipy.stats is imported where it is called, not with the package."""
+    """scipy.stats, scipy.interpolate and scipy.ndimage are imported where
+    they are called, not with the package."""
     src = str(Path(lorenzlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, lorenzlab; print('scipy.stats' in sys.modules)"
+    code = ("import sys, lorenzlab; print([m for m in ('scipy.stats', "
+            "'scipy.interpolate', 'scipy.ndimage') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

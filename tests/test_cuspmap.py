@@ -8,6 +8,7 @@ from lorenzlab.cuspmap import (
     EmpiricalCuspMap,
     IntervalMap,
     SyntheticCuspMap,
+    _LogBranch,
     audit_assumptions,
     cylinder_anatomy,
     fit_branch_exponents,
@@ -103,6 +104,24 @@ def test_synthetic_validation():
         SyntheticCuspMap(b_left=1.3)
     with pytest.raises(ConstructionError):
         SyntheticCuspMap(x0=1.2)
+    for kw in ({"amp_left": 0.0}, {"amp_right": -0.5}):
+        with pytest.raises(ConstructionError, match="amplitudes must be positive"):
+            SyntheticCuspMap(**kw)
+    # a large cusp amplitude bends each branch back on itself
+    with pytest.raises(ConstructionError, match="left branch is not increasing"):
+        SyntheticCuspMap(amp_left=3.0)
+    with pytest.raises(ConstructionError, match="right branch is not decreasing"):
+        SyntheticCuspMap(amp_right=3.0)
+
+
+def test_map_arguments_must_be_in_domain(synth):
+    with pytest.raises(DomainError, match="1-d arrays"):
+        synth(np.full((2, 2), 0.5))
+    for bad in (-1e-9, 1.0 + 1e-9, np.nan, [0.2, 1.5]):
+        with pytest.raises(DomainError, match=r"lie in \[0, 1\]"):
+            synth(bad)
+        with pytest.raises(DomainError, match=r"lie in \[0, 1\]"):
+            synth.derivative(bad)
 
 
 def test_derivative_matches_finite_differences(synth):
@@ -158,6 +177,14 @@ def test_fit_rejects_a_flat_cusp_window():
 
     with pytest.raises(FitError, match="fewer than 20"):
         fit_branch_exponents(FlatTop())
+
+
+def test_fit_window_must_fit_inside_both_branches(synth):
+    # [delta, 10 delta] must stay inside (0, x0) and (x0, 1); x0 = 0.39
+    for delta in (0.0, -1e-3, 0.039, 0.1):
+        with pytest.raises(DomainError, match="fit inside both branches"):
+            fit_branch_exponents(synth, delta=delta)
+    fit_branch_exponents(synth, delta=0.038)
 
 
 def test_inverse_branches(synth):
@@ -254,6 +281,17 @@ def test_build_rejects_three_columns(synth):
         EmpiricalCuspMap(np.column_stack([pairs, pairs[:, 0]]))
 
 
+def test_build_rejects_degenerate_maxima():
+    with pytest.raises(DomainError, match="degenerate Casimir maxima"):
+        EmpiricalCuspMap(np.full((1500, 2), 7.0))
+
+
+def test_log_branch_needs_four_bins():
+    u = np.log(np.geomspace(1e-3, 0.3, 3))
+    with pytest.raises(ShapeError, match="too few usable bins"):
+        _LogBranch(u, np.linspace(-2.0, 0.0, 3))
+
+
 def test_bimodal_scatter_rejected():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, 4000)
@@ -284,6 +322,9 @@ def test_perturbed_family_limits(synth):
         make_perturbed_family(synth, 0.8)
     with pytest.raises(DomainError):
         make_perturbed_family(synth, -0.01)
+    emp = EmpiricalCuspMap(_orbit_pairs(synth, 3000))
+    with pytest.raises(DomainError, match="defined for synthetic maps"):
+        make_perturbed_family(emp, 0.01)
 
 
 def test_audit_identity(synth):
