@@ -90,6 +90,23 @@ def test_jacobian_matches_finite_differences():
                                    rtol=1e-8, atol=1e-7)
 
 
+def test_jacobian_times_is_jacobian_product():
+    """The stacked J(y) v used for stored-flow accelerations, against the
+    Jacobian matrix of the shifted-frame field written out here (the
+    constant forcing does not enter it)."""
+    fld = FieldSpec(eta=0.3, forcing=(0.6, -0.48, 0.64))
+    ys = np.random.default_rng(4).normal(scale=20.0, size=(50, 3))
+    acc = fld.jacobian_times(ys, fld.velocity_batch(ys))
+    z, b = fld.zeta, fld.beta
+    for y, a in zip(ys, acc):
+        y1, y2, y3 = y
+        jac = np.array([[-z, z, 0.0],
+                        [fld.gamma - fld.shift - y3, -1.0, -y1],
+                        [y2, y1, -b]])
+        np.testing.assert_allclose(a, jac @ fld.velocity(y),
+                                   rtol=1e-13, atol=1e-10)
+
+
 def test_velocity_batch_matches_velocity():
     """The scalar RHS and the batched one round identically, for the
     default forcing and an oblique one."""
