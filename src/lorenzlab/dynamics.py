@@ -19,8 +19,8 @@ exponential absorption estimate, with m = min(1, zeta, beta),
 
 checked over random starts, horizons and amplitudes by `lyapunov_sweep`.
 
-Every ODE solve of the package goes through `_solve` (DOP853, one error
-path).
+Every ODE solve of the package goes through `_solve`: the in-repo DOP853
+loop of `_dop853`, with one error path.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .errors import DomainError, IntegrationError
 from .manifest import write_csv
 
@@ -169,22 +169,21 @@ class Trajectory:
                   np.column_stack([self.t, self.y, self.casimir_series()]))
 
 
-def _solve(rhs, y0, t_end: float, tol: float, context: str, **options):
+def _solve(rhs, y0, t_end: float, tol: float, context: str, t_eval=None,
+           event=None):
     """The package's one ODE solve: dy/dt = rhs(y) on [0, t_end] with DOP853.
 
-    rtol = atol = tol; options (t_eval, events) go to solve_ivp
-    unchanged. No caller asks for dense output: stored flow is resampled
-    from the accepted steps (section._sample_segment). Raises
-    IntegrationError, prefixed by context, on a failed solve or a
-    non-finite state.
+    rtol = atol = tol. Returns (t, y) as _dop853.solve does, or None when
+    an event is given and does not fire by t_end. Raises IntegrationError,
+    prefixed by context, on a failed solve or a non-finite state.
     """
-    sol = solve_ivp(lambda t, y: rhs(y), (0.0, t_end), y0, method="DOP853",
-                    rtol=tol, atol=tol, **options)
-    if not sol.success:
-        raise IntegrationError(f"{context}: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
+    status, t, y = _dop853.solve(rhs, y0, t_end, tol, t_eval, event)
+    if status < 0:
+        raise IntegrationError(f"{context}: Required step size is less than "
+                               "spacing between numbers.")
+    if not np.all(np.isfinite(y)):
         raise IntegrationError(f"{context}: non-finite state reached")
-    return sol
+    return None if event is not None and status == 0 else (t, y)
 
 
 def integrate(field, y0, t_end: float, tol: float = _TOL,
@@ -197,9 +196,14 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
     y0 = as_state(y0)
     if not (t_end > 0.0):
         raise DomainError("t_end must be positive")
-    sol = _solve(field.velocity, y0, float(t_end), tol, "integrate",
-                 t_eval=t_eval)
-    return Trajectory(t=sol.t, y=sol.y.T)
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0.0) \
+                or np.any(t_eval < 0.0) or np.any(t_eval > t_end):
+            raise DomainError("t_eval must increase within [0, t_end]")
+    t, y = _solve(field.velocity, y0, float(t_end), tol, "integrate",
+                  t_eval=t_eval)
+    return Trajectory(t=t, y=y)
 
 
 def absorption_rate(field: FieldSpec) -> float:
@@ -247,9 +251,9 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
             return base.velocity_batch(flat.reshape(n, 3), eta=etas).ravel()
 
         horizons, col = np.unique(ts, return_inverse=True)
-        sol = _solve(rhs, y0.ravel(), _SWEEP_T_MAX, _TOL, "lyapunov_sweep",
-                     t_eval=horizons)
-        yt = sol.y.reshape(n, 3, len(horizons))[np.arange(n), :, col]
+        _, y = _solve(rhs, y0.ravel(), _SWEEP_T_MAX, _TOL, "lyapunov_sweep",
+                      t_eval=horizons)
+        yt = y.reshape(len(horizons), n, 3)[col, np.arange(n)]
         lhs = np.einsum("ij,ij->i", yt, yt)
         # Casimir drift vector H_eta = eta H + H0 (module docstring).
         heta = etas[:, None] * base.h[None, :] + base.h0[None, :]

@@ -282,10 +282,10 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     _MAX_DRAWS_PER_PROBE * probes draws yield fewer than probes kept
     probes (every crossing tangent, for instance).
 
-    Both paths run at a refined integrator tolerance regardless of the
-    ambient section settings: global integration error is amplified by
-    the flow's sensitivity over multi-crossing spans, so the comparison
-    needs more accuracy than routine chain sampling.
+    Both paths run at a refined integrator tolerance, at most 1e-13,
+    regardless of the ambient section settings: global integration error
+    is amplified by the flow's sensitivity over multi-crossing spans, so
+    the comparison needs more accuracy than routine chain sampling.
     """
     if probes < _MIN_PROBES:
         raise DomainError(f"need at least {_MIN_PROBES} probes")
@@ -296,7 +296,7 @@ def suspension_conjugation_check(law: NoiseLaw, section: SectionSpec, x,
     if not on_section(section, y_x):
         raise DomainError("base point must lie on the section")
 
-    section = replace(section, tol=min(section.tol, 1e-12))
+    section = replace(section, tol=min(section.tol, 1e-13))
     n_base = 48
     n_chain = n_base + 64
     trace = sample_chain(law, section, y_x, n=n_chain, seed=seed)

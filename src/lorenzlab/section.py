@@ -8,11 +8,11 @@ the unforced field v0, restricted to the box
 together with the max-type condition that g decreases through zero. The
 surface is the same for every forcing amplitude; forced trajectories cross
 it transversally, which keeps the embedded chain on one fixed section.
-Crossings are located by the integrator's event machinery (bracketing plus
-root refinement on the step's interpolant) and accepted only inside the
-box; the flow continues through maxima outside it. A stored flow segment
-is resampled from the solver's accepted steps, so keeping segments does
-not change the steps the solver takes.
+Crossings are located by the integrator's event search (a downward sign
+change over a step, then a root on the step's interpolant) and accepted
+only inside the box; the flow continues through maxima outside it. A
+stored flow segment is resampled from the solver's accepted steps, so
+keeping segments does not change the steps the solver takes.
 """
 
 from __future__ import annotations
@@ -117,57 +117,48 @@ def on_section(section: SectionSpec, y) -> bool:
         and section.contains(y)
 
 
-def _surface_event(fld: FieldSpec):
-    def ev(t, y):
-        return _g(fld, y, fld.velocity(y))
-
-    ev.direction = -1.0
-    ev.terminal = True
-    return ev
-
-
 def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
             guard_first: bool):
     """First in-box downward crossing of g = 0 along the flow forced at eta.
 
-    guard_first steps off the surface before enabling events; it is
-    required when y0 already satisfies g = 0 (a fresh transition), because
-    the event machinery would otherwise re-report the start point.
+    guard_first steps off the surface before watching g; it is required
+    when y0 already satisfies g = 0 (a fresh transition), because the
+    crossing search would otherwise re-report the start point.
     """
     fld = section.field.with_eta(eta)
     y = as_state(y0)
     nodes = []  # (times since the query, states) of each window's steps
     t_accum = 0.0
-    event = _surface_event(fld)
 
-    def keep(sol) -> None:
+    def event(y_in) -> float:
+        return _g(fld, y_in, fld.velocity(y_in))
+
+    def keep(t: np.ndarray, ys: np.ndarray) -> None:
         if want_segment:
-            nodes.append((t_accum + sol.t, sol.y.T))
+            nodes.append((t_accum + t, ys))
 
     def guard(y_in: np.ndarray) -> np.ndarray:
         nonlocal t_accum
-        sol = _solve(fld.velocity, y_in, _GUARD_TIME, section.tol,
-                     "guard step failed")
-        keep(sol)
+        t, ys = _solve(fld.velocity, y_in, _GUARD_TIME, section.tol,
+                       "guard step failed")
+        keep(t, ys)
         t_accum += _GUARD_TIME
-        return sol.y[:, -1]
+        return ys[-1]
 
     if guard_first:
         y = guard(y)
     while True:
         remaining = section.t_max - t_accum
-        if remaining <= 0:
+        found = None if remaining <= 0 else _solve(
+            fld.velocity, y, remaining, section.tol, "crossing search failed",
+            event=event)
+        if found is None:
             raise HorizonExceeded(
                 f"no section crossing within t_max = {section.t_max}")
-        sol = _solve(fld.velocity, y, remaining, section.tol,
-                     "crossing search failed", events=[event])
-        if sol.status == 0:
-            raise HorizonExceeded(
-                f"no section crossing within t_max = {section.t_max}")
-        t_ev = float(sol.t_events[0][0])
-        y_ev = sol.y_events[0][0].copy()
-        keep(sol)  # a terminal event's last node is the crossing
-        t_accum += t_ev
+        t, ys = found
+        y_ev = ys[-1].copy()
+        keep(t, ys)  # the last node is the crossing
+        t_accum += float(t[-1])
         if section.contains(y_ev):
             _, gdot = surface_derivatives(fld, y_ev)
             tangent = bool(abs(gdot) <= section.tangency_tol or gdot > 0)
@@ -381,4 +372,4 @@ def settle_on_attractor(fld: FieldSpec) -> np.ndarray:
     """A reproducible point on the attractor (fixed start, transient cut)."""
     y0 = np.array([1.0, 1.0, 1.0 - fld.shift])
     return _solve(fld.velocity, y0, _SETTLE_TIME, _SETTLE_TOL,
-                  "settle_on_attractor").y[:, -1]
+                  "settle_on_attractor")[1][-1]

@@ -257,12 +257,14 @@ def test_csv_writer_keeps_integers_exact(tmp_path):
 
 
 def test_import_does_not_load_scipy_stats():
-    """scipy.stats, scipy.interpolate and scipy.ndimage are imported where
-    they are called, not with the package."""
+    """scipy.stats, scipy.interpolate, scipy.ndimage and scipy.optimize are
+    imported where they are called, not with the package, and
+    scipy.integrate not at all."""
     src = str(Path(lorenzlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, lorenzlab; print([m for m in ('scipy.stats', "
-            "'scipy.interpolate', 'scipy.ndimage') if m in sys.modules])")
+            "'scipy.interpolate', 'scipy.ndimage', 'scipy.integrate', "
+            "'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -255,6 +255,17 @@ def test_conjugation_check(section, x_on_section):
     assert rep.n_skipped == 0
 
 
+def test_conjugation_holds_at_seed_38(section, y_start):
+    """The pdmp workload's check at seed 38: the chain's first crossing,
+    probe seed 39, 100 probes. With a refined tolerance of 1e-12 its
+    largest discrepancy was 4.38e-7, over the 1e-7 bound."""
+    law = NoiseLaw.uniform(0.05)
+    x = sample_chain(law, section, y_start, n=1, seed=38).x[0]
+    rep = suspension_conjugation_check(law, section, x, seed=39, probes=100)
+    assert rep.max_discrepancy <= 1e-7
+    assert rep.passed
+
+
 def test_conjugation_check_validation(section, x_on_section, y_start):
     with pytest.raises(DomainError):
         suspension_conjugation_check(NoiseLaw.uniform(0.05), section,

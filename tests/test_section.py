@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lorenzlab import (
     HorizonExceeded,
@@ -18,9 +19,8 @@ from lorenzlab import (
 )
 from lorenzlab.errors import DomainError, TangencyWarning
 from lorenzlab.noise import NoiseLaw
-from lorenzlab.dynamics import _solve
 from lorenzlab.section import (
-    _surface_event,
+    _g,
     settle_on_attractor,
     surface_derivatives,
 )
@@ -264,12 +264,16 @@ def calibrate_eps_box(fld, n_events: int = 2000, coverage: float = 0.99,
         raise DomainError("coverage must be in (0, 1]")
     base = fld.with_eta(0.0)
     y = settle_on_attractor(base)
-    ev = _surface_event(base)
-    ev.terminal = False
+
+    def ev(t, y):
+        return _g(base, y, base.velocity(y))
+
+    ev.direction = -1.0  # every downward crossing, none terminal
     reqs: list[float] = []
     while len(reqs) < n_events:
-        sol = _solve(base.velocity, y, 100.0, tol, "calibrate_eps_box",
-                     events=[ev])
+        sol = solve_ivp(lambda t, y: base.velocity(y), (0.0, 100.0), y,
+                        method="DOP853", rtol=tol, atol=tol, events=[ev])
+        assert sol.success
         for y_ev in sol.y_events[0]:
             reqs.append(max(abs(y_ev[0]), abs(y_ev[1]), y_ev[2] + base.shift))
         y = sol.y[:, -1]
