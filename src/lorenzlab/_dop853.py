@@ -4,7 +4,14 @@ Method, coefficients and step control are Hairer's DOP853 (Hairer, Norsett
 & Wanner, Solving ODEs I, II.5 and II.10; dop853.f). `solve` performs the
 arithmetic of scipy 1.17.1's solve_ivp(method="DOP853") in the same order,
 so its output is bit-identical to that call's, for what the package uses:
-an autonomous real system solved forward from t = 0, at most one event.
+an autonomous real system solved forward from t = 0, at most one event,
+whose root is scipy's brentq, ported as `_brentq`.
+
+The right-hand side takes a base state, a direction and a step, fun(y, d,
+h) = f(y + h d), so a field can form each stage point in its own
+arithmetic (scalars, for one state) instead of three numpy calls. Every
+dot product stays in numpy: BLAS may contract it to fused multiply-adds,
+which a Python sum does not reproduce.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 
 import numpy as np
 
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 
@@ -89,7 +96,7 @@ _D = _floats("""
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5  # as np.linalg.norm takes it
 
 
 def _initial_step(fun, y0, t_end, f0, rtol, atol):
@@ -97,7 +104,7 @@ def _initial_step(fun, y0, t_end, f0, rtol, atol):
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    d2 = _rms((fun(y0 + h0 * f0) - f0) / scale) / h0
+    d2 = _rms((fun(y0, f0, h0) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -115,31 +122,97 @@ def _interpolate(F, y_old, x):
     return y
 
 
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """A zero of f between xpre and xcur, where f changes sign, by Brent's
+    method (Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    A port of scipy's Zeros/brentq.c, operation for operation, as
+    scipy.optimize.brentq runs it with xtol = rtol = 4 EPS and 100
+    iterations, so it returns the same root.
+    """
+    xtol = rtol = 4 * EPS
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations")
+
+
 def solve(fun, y0, t_end: float, tol: float, t_eval=None, event=None):
-    """Integrate dy/dt = fun(y) from t = 0 to t_end > 0, rtol = atol = tol.
+    """Integrate dy/dt = f(y) from t = 0 to t_end > 0, rtol = atol = tol.
+
+    fun(y, d, h) returns f at the point y + h d, formed as y + d * h: the
+    loop passes a stage's base state, stage product and step, and
+    (y, y, 0.0) for f(y) itself (y + 0 y is y, signed zeros included).
+    event(y, v) is a scalar function of a state y and its field v = f(y).
 
     Returns (status, t, y), the states in the rows of y: at t = 0 and every
     accepted step, or at t_eval (increasing, within [0, t_end]). status is
-    0 at t_end; 1 when event(y) fell through zero, the last row being the
+    0 at t_end; 1 when the event fell through zero, the last row being the
     root on the step's interpolant (event is not combined with t_eval);
     -1 (and no rows) when the step fell below ten spacings of t.
     """
     rtol, atol = max(tol, 100 * EPS), tol
     y = np.asarray(y0, dtype=float)
     n = y.size
-    f = fun(y)
+    f = fun(y, y, 0.0)
     h_abs = _initial_step(fun, y, t_end, f, rtol, atol)
     K_ext = np.empty((16, n))
     KT, K12T = K_ext[:13].T, K_ext[:12].T
     stages = [(s, K_ext[:s].T, _A[s, :s]) for s in range(1, 12)]
     extra = [(s, K_ext[:s].T, _A[s, :s]) for s in (13, 14, 15)]
+    abs_y, (scale, err5, err3) = np.abs(y), np.empty((3, n))
     t = 0.0
     if t_eval is None:
         ts, ys = [t], [y]
     else:
         t_eval, i_eval = np.asarray(t_eval), 0
         ys = np.empty((len(t_eval), n))
-    g = None if event is None else event(y)
+    g = None if event is None else event(y, f)
+
+    def dense():
+        """The last step's 7-power interpolant (scipy's Dop853DenseOutput)."""
+        for s, KsT, a in extra:
+            K_ext[s] = fun(y_old, KsT.dot(a), h)
+        F = np.empty((7, n))
+        F[0] = delta_y = y - y_old
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f + f_old)
+        F[3:] = h * _D.dot(K_ext)
+        return F
+
+    def g_at(tq):
+        """The event along the interpolant F of the last step."""
+        yq = _interpolate(F, y_old, (tq - t_old) / (t - t_old))
+        return event(yq, fun(yq, yq, 0.0))
+
     status = None
     while status is None:
         # One accepted step (scipy's RungeKutta._step_impl and rk_step).
@@ -151,22 +224,29 @@ def solve(fun, y0, t_end: float, tol: float, t_eval=None, event=None):
                 return -1, None, None
             t_new = t_end if t + h_abs - t_end > 0 else t + h_abs
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K_ext[0] = f
             for s, KsT, a in stages:
-                K_ext[s] = fun(y + np.dot(KsT, a) * h)
-            y_new = y + h * np.dot(K12T, _B)
-            K_ext[12] = f_new = fun(y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                K_ext[s] = fun(y, KsT.dot(a), h)
+            d = K12T.dot(_B)
+            y_new = y + h * d
+            K_ext[12] = f_new = fun(y, d, h)
+            abs_new = np.abs(y_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            KT.dot(_E5, out=err5)
+            KT.dot(_E3, out=err3)
+            err5 /= scale
+            err3 /= scale
             # the squared norms as np.linalg.norm(x) ** 2 computes them
-            err5, err3 = np.dot(KT, _E5) / scale, np.dot(KT, _E3) / scale
-            err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
-            err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * n)
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * n)
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else min(
                     _MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
@@ -175,32 +255,16 @@ def solve(fun, y0, t_end: float, tol: float, t_eval=None, event=None):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
             rejected = True
         t_old, y_old, f_old = t, y, f
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
         if t - t_end >= 0:
             status = 0
-
-        def dense():
-            """The step's 7-power interpolant (scipy's Dop853DenseOutput)."""
-            for s, KsT, a in extra:
-                K_ext[s] = fun(y_old + np.dot(KsT, a) * h)
-            F = np.empty((7, n))
-            F[0] = delta_y = y - y_old
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f + f_old)
-            F[3:] = h * np.dot(_D, K_ext)
-            return F
-
         if event is not None:
-            g_new = event(y)
+            g_new = event(y, f)
             if g >= 0 and g_new <= 0:
-                from scipy.optimize import brentq
-
-                F, span = dense(), t - t_old
-                t = brentq(lambda tq: event(_interpolate(
-                    F, y_old, (tq - t_old) / span)), t_old, t,
-                    xtol=4 * EPS, rtol=4 * EPS)
-                y = _interpolate(F, y_old, (t - t_old) / span)
-                status = 1
+                F = dense()
+                t_root = _brentq(g_at, t_old, t)
+                y = _interpolate(F, y_old, (t_root - t_old) / (t - t_old))
+                t, status = t_root, 1
             g = g_new
         if t_eval is None:
             ts.append(t)

@@ -20,7 +20,9 @@ exponential absorption estimate, with m = min(1, zeta, beta),
 checked over random starts, horizons and amplitudes by `lyapunov_sweep`.
 
 Every ODE solve of the package goes through `_solve`: the in-repo DOP853
-loop of `_dop853`, with one error path.
+loop of `_dop853`, with one error path. Its right-hand side is a stage
+function rhs(y, d, h), the field at y + h d: `FieldSpec._stage` for one
+state, and the sweep's stacked field for many.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -109,13 +112,21 @@ class FieldSpec:
         return (z * (y2 - y1), -y1 * y3 + self._c2 * y1 - y2,
                 y1 * y2 - b * y3 + self._c3)
 
-    def velocity(self, y) -> np.ndarray:
+    def _at(self, y1, y2, y3) -> np.ndarray:
         # Python floats round exactly like numpy scalars and cost less.
-        v = self._terms(*np.asarray(y).tolist())
+        v = self._terms(y1, y2, y3)
         if self.eta != 0.0:
             e, (h1, h2, h3) = self.eta, self._hf
             v = (v[0] + e * h1, v[1] + e * h2, v[2] + e * h3)
         return np.array(v)
+
+    def velocity(self, y) -> np.ndarray:
+        return self._at(*np.asarray(y).tolist())
+
+    def _stage(self, y, d, h) -> np.ndarray:
+        """velocity(y + h d), the point formed in floats: the solver's RHS."""
+        (y1, y2, y3), (d1, d2, d3) = y.tolist(), d.tolist()
+        return self._at(y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
 
     def velocity_batch(self, ys: np.ndarray, eta=None) -> np.ndarray:
         """Vectorized velocity for states of shape (..., 3).
@@ -171,11 +182,13 @@ class Trajectory:
 
 def _solve(rhs, y0, t_end: float, tol: float, context: str, t_eval=None,
            event=None):
-    """The package's one ODE solve: dy/dt = rhs(y) on [0, t_end] with DOP853.
+    """The package's one ODE solve: dy/dt = f(y) on [0, t_end] with DOP853.
 
-    rtol = atol = tol. Returns (t, y) as _dop853.solve does, or None when
-    an event is given and does not fire by t_end. Raises IntegrationError,
-    prefixed by context, on a failed solve or a non-finite state.
+    rhs(y, d, h) is f(y + h d), and event(y, v) a function of a state and
+    its field, as _dop853.solve takes them; rtol = atol = tol. Returns
+    (t, y) as _dop853.solve does, or None when an event is given and does
+    not fire by t_end. Raises IntegrationError, prefixed by context, on a
+    failed solve or a non-finite state.
     """
     status, t, y = _dop853.solve(rhs, y0, t_end, tol, t_eval, event)
     if status < 0:
@@ -192,6 +205,7 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
 
     Uses the order-8 embedded RK pair with rtol = atol = tol and returns
     the states at t_eval, or at every accepted step when t_eval is None.
+    The solver reads the field through its stage method field._stage.
     """
     y0 = as_state(y0)
     if not (t_end > 0.0):
@@ -201,7 +215,7 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
         if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0.0) \
                 or np.any(t_eval < 0.0) or np.any(t_eval > t_end):
             raise DomainError("t_eval must increase within [0, t_end]")
-    t, y = _solve(field.velocity, y0, float(t_end), tol, "integrate",
+    t, y = _solve(field._stage, y0, float(t_end), tol, "integrate",
                   t_eval=t_eval)
     return Trajectory(t=t, y=y)
 
@@ -218,6 +232,13 @@ class SweepReport:
     min_margin: float
     elapsed_s: float
     worst: dict
+
+
+def _stacked_stage(field: FieldSpec, etas, flat, d, h) -> np.ndarray:
+    """The sweep's stacked RHS: the field at flat + h d, lane k of three
+    coordinates forced at etas[k]; the point formed with numpy."""
+    return field.velocity_batch((flat + d * h).reshape(-1, 3),
+                                eta=etas).ravel()
 
 
 def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
@@ -247,12 +268,9 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
         ts = _SWEEP_T_MAX * rng.random(n)
         etas = _SWEEP_ETA_MAX * (2.0 * rng.random(n) - 1.0)
 
-        def rhs(flat, n=n, etas=etas):
-            return base.velocity_batch(flat.reshape(n, 3), eta=etas).ravel()
-
         horizons, col = np.unique(ts, return_inverse=True)
-        _, y = _solve(rhs, y0.ravel(), _SWEEP_T_MAX, _TOL, "lyapunov_sweep",
-                      t_eval=horizons)
+        _, y = _solve(partial(_stacked_stage, base, etas), y0.ravel(),
+                      _SWEEP_T_MAX, _TOL, "lyapunov_sweep", t_eval=horizons)
         yt = y.reshape(len(horizons), n, 3)[col, np.arange(n)]
         lhs = np.einsum("ij,ij->i", yt, yt)
         # Casimir drift vector H_eta = eta H + H0 (module docstring).

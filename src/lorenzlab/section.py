@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -130,16 +131,13 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
     nodes = []  # (times since the query, states) of each window's steps
     t_accum = 0.0
 
-    def event(y_in) -> float:
-        return _g(fld, y_in, fld.velocity(y_in))
-
     def keep(t: np.ndarray, ys: np.ndarray) -> None:
         if want_segment:
             nodes.append((t_accum + t, ys))
 
     def guard(y_in: np.ndarray) -> np.ndarray:
         nonlocal t_accum
-        t, ys = _solve(fld.velocity, y_in, _GUARD_TIME, section.tol,
+        t, ys = _solve(fld._stage, y_in, _GUARD_TIME, section.tol,
                        "guard step failed")
         keep(t, ys)
         t_accum += _GUARD_TIME
@@ -150,8 +148,8 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
     while True:
         remaining = section.t_max - t_accum
         found = None if remaining <= 0 else _solve(
-            fld.velocity, y, remaining, section.tol, "crossing search failed",
-            event=event)
+            fld._stage, y, remaining, section.tol, "crossing search failed",
+            event=partial(_g, fld))
         if found is None:
             raise HorizonExceeded(
                 f"no section crossing within t_max = {section.t_max}")
@@ -371,5 +369,5 @@ def _flatten(pieces: list[tuple[np.ndarray, np.ndarray]]) -> dict:
 def settle_on_attractor(fld: FieldSpec) -> np.ndarray:
     """A reproducible point on the attractor (fixed start, transient cut)."""
     y0 = np.array([1.0, 1.0, 1.0 - fld.shift])
-    return _solve(fld.velocity, y0, _SETTLE_TIME, _SETTLE_TOL,
+    return _solve(fld._stage, y0, _SETTLE_TIME, _SETTLE_TOL,
                   "settle_on_attractor")[1][-1]

@@ -257,9 +257,9 @@ def test_csv_writer_keeps_integers_exact(tmp_path):
 
 
 def test_import_does_not_load_scipy_stats():
-    """scipy.stats, scipy.interpolate, scipy.ndimage and scipy.optimize are
-    imported where they are called, not with the package, and
-    scipy.integrate not at all."""
+    """scipy.stats, scipy.interpolate and scipy.ndimage are imported where
+    they are called, not with the package; scipy.optimize only by the
+    cusp-map fit, and scipy.integrate not at all."""
     src = str(Path(lorenzlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, lorenzlab; print([m for m in ('scipy.stats', "
@@ -268,3 +268,16 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_crossing_search_does_not_load_scipy_optimize():
+    """The crossing search roots its event with the in-repo Brent."""
+    src = str(Path(lorenzlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, lorenzlab as L; F = L.FieldSpec(); "
+            "L.next_crossing(L.SectionSpec(field=F, eps_box=25.0), "
+            "L.settle_on_attractor(F)); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from lorenzlab import FieldSpec, _dop853, integrate
+from lorenzlab import (FieldSpec, NoiseLaw, SectionSpec, _dop853, integrate,
+                       sample_chain, settle_on_attractor)
 from lorenzlab.dynamics import _solve
 from lorenzlab.errors import DomainError
 
@@ -23,25 +24,26 @@ def test_tableau_order_conditions():
     assert abs(_dop853._E3.sum()) <= 1e-14
 
 
-def _rotation(y):
-    """y1 = sin t, y2 = cos t, y3 = e^{-t/2} from (0, 1, 1)."""
+def _rotation(y, d, h):
+    """y1 = sin t, y2 = cos t, y3 = e^{-t/2} from (0, 1, 1); at y + h d."""
+    y = y + d * h
     return np.array([y[1], -y[0], -0.5 * y[2]])
 
 
 def _ivp(fun, y0, t_end, tol, **options):
-    sol = solve_ivp(lambda t, y: fun(y), (0.0, t_end), y0, method="DOP853",
-                    rtol=tol, atol=tol, **options)
+    sol = solve_ivp(lambda t, y: fun(y, y, 0.0), (0.0, t_end), y0,
+                    method="DOP853", rtol=tol, atol=tol, **options)
     assert sol.success
     return sol
 
 
 def test_terminal_crossing_matches_solve_ivp():
     """y1 falls through zero at t = pi; the crossing's time and state."""
-    def g(y):
+    def g(y, v):
         return y[0]
 
     def ev(t, y):
-        return g(y)
+        return g(y, None)
 
     ev.terminal, ev.direction = True, -1.0
     y0 = np.array([0.0, 1.0, 1.0])
@@ -58,7 +60,7 @@ def test_terminal_crossing_matches_solve_ivp():
 
 def test_no_crossing_before_t_end_returns_none():
     assert _solve(_rotation, np.array([0.0, 1.0, 1.0]), 3.0, 1e-10, "test",
-                  event=lambda y: y[0]) is None
+                  event=lambda y, v: y[0]) is None
 
 
 def test_t_eval_read_matches_solve_ivp():
@@ -76,8 +78,8 @@ def test_stacked_lanes_match_solve_ivp():
     """Two lanes in one state vector, each with its own rotation rate."""
     rates = np.array([1.0, 2.5])
 
-    def rhs(flat):
-        y = flat.reshape(2, 3)
+    def rhs(flat, d, h):
+        y = (flat + d * h).reshape(2, 3)
         return np.column_stack([rates * y[:, 1], -rates * y[:, 0],
                                 -0.5 * y[:, 2]]).ravel()
 
@@ -99,3 +101,46 @@ def test_stacked_lanes_match_solve_ivp():
 def test_integrate_rejects_bad_t_eval(t_eval):
     with pytest.raises(DomainError, match="t_eval"):
         integrate(FieldSpec(), [1.0, 1.0, -30.0], 2.0, t_eval=t_eval)
+
+
+def _scipy_brentq(f, a, b):
+    from scipy.optimize import brentq
+
+    tol = 4 * _dop853.EPS
+    return brentq(f, a, b, xtol=tol, rtol=tol)
+
+
+def test_brentq_port_returns_scipys_root_on_random_brackets():
+    """Steep, shifted and flat roots on fixed random brackets: the same
+    float; and the same failure on a cubic's root, flat to 100 iterations."""
+    rng = np.random.default_rng(11)
+    for _ in range(1500):
+        r = rng.uniform(-2.0, 2.0)
+        a, b = r - rng.uniform(1e-3, 3.0), r + rng.uniform(1e-3, 3.0)
+        k, q, sign = rng.uniform(0.1, 20.0), rng.uniform(0.0, 5.0), \
+            rng.choice([-1.0, 1.0])
+        for f in (lambda x: sign * (math.expm1(k * (x - r)) + q * (x - r) ** 3),
+                  lambda x: sign * math.atan(k * (x - r)) - 1e-3 * q,
+                  lambda x: sign * ((x - r) ** 3 + 1e-3 * q * (x - r))):
+            assert _dop853._brentq(f, a, b) == _scipy_brentq(f, a, b)
+    for root in (_dop853._brentq, _scipy_brentq):
+        with pytest.raises(RuntimeError, match="converge"):
+            root(lambda x: (x + 1.5) ** 3, -3.0, 0.3)
+
+
+def test_brentq_port_returns_scipys_root_on_chain_crossings(monkeypatch):
+    """Each crossing of a short forced chain roots the event on its step's
+    interpolant; scipy's brentq on the same function and bracket agrees."""
+    pairs = []
+    port = _dop853._brentq
+
+    def both(f, a, b):
+        pairs.append((port(f, a, b), _scipy_brentq(f, a, b)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(_dop853, "_brentq", both)
+    fld = FieldSpec()
+    sample_chain(NoiseLaw.uniform(0.05), SectionSpec(field=fld, eps_box=25.0),
+                 settle_on_attractor(fld), n=30, seed=4)
+    assert len(pairs) >= 31
+    assert all(mine == ref for mine, ref in pairs)

@@ -11,7 +11,7 @@ from lorenzlab import (
     integrate,
     lyapunov_sweep,
 )
-from lorenzlab.dynamics import Trajectory, absorption_rate
+from lorenzlab.dynamics import Trajectory, _stacked_stage, absorption_rate
 from lorenzlab.errors import DomainError, IntegrationError
 from lorenzlab.section import surface_derivatives
 
@@ -42,6 +42,9 @@ class TextbookLorenz:
         return np.array([self.zeta * (x2 - x1),
                          x1 * (self.gamma - x3) - x2,
                          x1 * x2 - self.beta * x3])
+
+    def _stage(self, x, d, h):
+        return self.velocity(x + d * h)
 
 
 def test_classical_defaults(field):
@@ -176,7 +179,8 @@ def test_rk4_cross_check(field):
 def test_failed_solve_raises_integration_error():
     """A blow-up in finite time (dy/dt = y^2) fails the solve."""
     class Blowup:
-        def velocity(self, y):
+        def _stage(self, y, d, h):
+            y = y + d * h
             return y * y
 
     with pytest.raises(IntegrationError, match="integrate: Required step"):
@@ -227,3 +231,33 @@ def test_absorption_rate_classical(field):
     assert absorption_rate(field) == 1.0
     assert absorption_rate(FieldSpec(zeta=0.5)) == 0.5
     assert absorption_rate(FieldSpec(beta=0.2)) == 0.2
+
+
+_OBLIQUE = (0.6, -0.48, 0.64)
+
+
+@pytest.mark.parametrize("fld", [FieldSpec(), FieldSpec(eta=0.3,
+                                                        forcing=_OBLIQUE)])
+def test_stage_is_velocity_at_the_stage_point(fld):
+    """The solver's RHS forms y + h d in floats: bit for bit velocity's."""
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        y, d = rng.normal(0.0, 20.0, 3), rng.normal(0.0, 300.0, 3)
+        h = rng.uniform(0.0, 0.05)
+        np.testing.assert_array_equal(fld._stage(y, d, h),
+                                      fld.velocity(y + d * h))
+
+
+def test_sweep_stage_is_velocity_lane_by_lane():
+    """The sweep's stacked RHS, lane k forced at etas[k] along an oblique H,
+    is bit for bit each lane's own velocity at its stage point."""
+    rng = np.random.default_rng(6)
+    base, n = FieldSpec(forcing=_OBLIQUE), 200
+    etas = rng.uniform(-1.0, 1.0, n)
+    y, d = rng.normal(0.0, 20.0, 3 * n), rng.normal(0.0, 300.0, 3 * n)
+    h = 0.0123
+    out = _stacked_stage(base, etas, y, d, h).reshape(n, 3)
+    for k in range(n):
+        lane = slice(3 * k, 3 * k + 3)
+        np.testing.assert_array_equal(
+            out[k], base.with_eta(etas[k]).velocity(y[lane] + d[lane] * h))
