@@ -1,4 +1,5 @@
-"""The in-repo DOP853 loop: its tableau, and scipy's solve_ivp as oracle."""
+"""The in-repo DOP853 loop: its tableau, with scipy's solve_ivp and brentq as
+oracles."""
 
 import math
 
