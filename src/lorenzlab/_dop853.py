@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .errors import IntegrationError
+
 EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
@@ -104,7 +106,9 @@ def _initial_step(fun, y0, t_end, f0, rtol, atol):
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    d2 = _rms((fun(y0, f0, h0) - f0) / scale) / h0
+    d2 = _rms((fun(y0, f0, h0) - f0) / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = float(d2 / np.float64(h0))  # as float64: h0 = 0 if f0 overflowed
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -165,19 +169,23 @@ def _brentq(f, xpre: float, xcur: float) -> float:
     raise RuntimeError("Failed to converge after 100 iterations")
 
 
-def solve(fun, y0, t_end: float, tol: float, t_eval=None, event=None):
-    """Integrate dy/dt = f(y) from t = 0 to t_end > 0, rtol = atol = tol.
+def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
+          event=None):
+    """The package's one ODE solve: dy/dt = f(y) from t = 0 to t_end > 0,
+    rtol = atol = tol.
 
     fun(y, d, h) returns f at the point y + h d, formed as y + d * h: the
     loop passes a stage's base state, stage product and step, and
     (y, y, 0.0) for f(y) itself (y + 0 y is y, signed zeros included).
     event(y, v) is a scalar function of a state y and its field v = f(y).
 
-    Returns (status, t, y), the states in the rows of y: at t = 0 and every
-    accepted step, or at t_eval (increasing, within [0, t_end]). status is
-    0 at t_end; 1 when the event fell through zero, the last row being the
-    root on the step's interpolant (event is not combined with t_eval);
-    -1 (and no rows) when the step fell below ten spacings of t.
+    Returns (t, y), the states in the rows of y: at t = 0 and every
+    accepted step, or at t_eval (increasing, within [0, t_end]). With an
+    event (not combined with t_eval) the solve stops where the event falls
+    through zero, the last row being the root on the step's interpolant,
+    and returns None when it does not fall by t_end. Raises
+    IntegrationError, prefixed by context, when the step falls below ten
+    spacings of t or a returned state is not finite.
     """
     rtol, atol = max(tol, 100 * EPS), tol
     y = np.asarray(y0, dtype=float)
@@ -213,15 +221,16 @@ def solve(fun, y0, t_end: float, tol: float, t_eval=None, event=None):
         yq = _interpolate(F, y_old, (tq - t_old) / (t - t_old))
         return event(yq, fun(yq, yq, 0.0))
 
-    status = None
-    while status is None:
+    done = fired = False
+    while not done:
         # One accepted step (scipy's RungeKutta._step_impl and rk_step).
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return -1, None, None
+                raise IntegrationError(f"{context}: Required step size is "
+                                       "less than spacing between numbers.")
             t_new = t_end if t + h_abs - t_end > 0 else t + h_abs
             h = t_new - t
             h_abs = abs(h)
@@ -256,15 +265,14 @@ def solve(fun, y0, t_end: float, tol: float, t_eval=None, event=None):
             rejected = True
         t_old, y_old, f_old = t, y, f
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
-        if t - t_end >= 0:
-            status = 0
+        done = t - t_end >= 0
         if event is not None:
             g_new = event(y, f)
             if g >= 0 and g_new <= 0:
                 F = dense()
                 t_root = _brentq(g_at, t_old, t)
                 y = _interpolate(F, y_old, (t_root - t_old) / (t - t_old))
-                t, status = t_root, 1
+                t, done, fired = t_root, True, True
             g = g_new
         if t_eval is None:
             ts.append(t)
@@ -275,6 +283,8 @@ def solve(fun, y0, t_end: float, tol: float, t_eval=None, event=None):
             x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
             ys[i_eval:i_new] = _interpolate(dense(), y_old, x[:, None])
             i_eval = i_new
-    if t_eval is None:
-        return status, np.array(ts), np.array(ys)
-    return status, t_eval, ys
+    t_out, y_out = (np.array(ts), np.array(ys)) if t_eval is None \
+        else (t_eval, ys)
+    if not np.all(np.isfinite(y_out)):
+        raise IntegrationError(f"{context}: non-finite state reached")
+    return None if event is not None and not fired else (t_out, y_out)

@@ -7,22 +7,23 @@ in terms of the textbook coordinates x:
     dy2 = -y1 y3 - zeta y1 - y2
     dy3 = y1 y2 - beta y3 - beta (gamma+zeta)
 
-Random forcing is modelled as an additive term eta * H with H a unit vector.
-The Casimir C(y) = |y|^2 obeys
+Random forcing is modelled as an additive term eta * H with H = e3, parallel
+to the constant forcing H0 = (0, 0, -beta (zeta+gamma)) of dy3. The Casimir
+C(y) = |y|^2 obeys
 
     dC/dt = -2 (zeta y1^2 + y2^2 + beta y3^2) + 2 <H_eta, y>,
 
-with H_eta = eta H + H0 and H0 = (0, 0, -beta (zeta+gamma)), which yields the
+with H_eta = eta H + H0 = (0, 0, eta - beta (zeta+gamma)), which yields the
 exponential absorption estimate, with m = min(1, zeta, beta),
 
-    C(t) <= C(0) e^{-mt} + (|H_eta|^2 / m^2)(1 + e^{-mt}),
+    C(t) <= C(0) e^{-mt} + K (1 + e^{-mt}),   K = |H_eta|^2 / m^2,
 
 checked over random starts, horizons and amplitudes by `lyapunov_sweep`.
 
-Every ODE solve of the package goes through `_solve`: the in-repo DOP853
-loop of `_dop853`, with one error path. Its right-hand side is a stage
-function rhs(y, d, h), the field at y + h d: `FieldSpec._stage` for one
-state, and the sweep's stacked field for many.
+Every solve goes through `_dop853.solve`, the in-repo DOP853 loop with one
+error path. Its right-hand side is a stage function rhs(y, d, h), the field
+at y + h d: `FieldSpec._stage` for one state, and the sweep's stacked field
+for many.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import _dop853
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 from .manifest import write_csv
 
 CLASSICAL_ZETA = 10.0
@@ -63,16 +64,15 @@ def as_state(y) -> np.ndarray:
 class FieldSpec:
     """Parameters of the (possibly forced) Lorenz field in the shifted frame.
 
-    `forcing` must be a unit vector; the perturbed field is
-    velocity_0(y) + eta * forcing. Defaults are the classical parameters
-    with zero forcing amplitude.
+    The forced field is velocity_0(y) + eta e3: the amplitude eta adds to
+    dy3 (module docstring). Defaults are the classical parameters with zero
+    forcing amplitude.
     """
 
     zeta: float = CLASSICAL_ZETA
     gamma: float = CLASSICAL_GAMMA
     beta: float = CLASSICAL_BETA
     eta: float = 0.0
-    forcing: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         for name in ("zeta", "gamma", "beta"):
@@ -81,30 +81,14 @@ class FieldSpec:
                 raise DomainError(f"{name} must be a positive finite number, got {v!r}")
         if not math.isfinite(self.eta):
             raise DomainError("eta must be finite")
-        h = np.array(self.forcing, dtype=float)
-        if h.shape != (3,) or abs(float(np.linalg.norm(h)) - 1.0) > 1e-9:
-            raise DomainError("forcing must be a unit 3-vector")
-        h.setflags(write=False)
         # The constant coefficients of dy2 and dy3 (module docstring).
-        c2, c3 = -self.zeta, -(self.beta * self.shift)
-        for name, value in (("_h", h), ("_hf", tuple(h.tolist())),
-                            ("_c2", c2), ("_c3", c3)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_c2", -self.zeta)
+        object.__setattr__(self, "_c3", -(self.beta * self.shift))
 
     @property
     def shift(self) -> float:
         """Vertical offset gamma + zeta of the shifted frame."""
         return self.gamma + self.zeta
-
-    @property
-    def h(self) -> np.ndarray:
-        """The forcing direction as a read-only array."""
-        return self._h
-
-    @property
-    def h0(self) -> np.ndarray:
-        """Constant part of the Casimir drift, (0, 0, -beta (zeta+gamma))."""
-        return np.array([0.0, 0.0, -self.beta * self.shift])
 
     def _terms(self, y1, y2, y3):
         """The three velocity components, for scalars or arrays."""
@@ -114,11 +98,8 @@ class FieldSpec:
 
     def _at(self, y1, y2, y3) -> np.ndarray:
         # Python floats round exactly like numpy scalars and cost less.
-        v = self._terms(y1, y2, y3)
-        if self.eta != 0.0:
-            e, (h1, h2, h3) = self.eta, self._hf
-            v = (v[0] + e * h1, v[1] + e * h2, v[2] + e * h3)
-        return np.array(v)
+        v1, v2, v3 = self._terms(y1, y2, y3)
+        return np.array((v1, v2, v3 + self.eta))
 
     def velocity(self, y) -> np.ndarray:
         return self._at(*np.asarray(y).tolist())
@@ -131,15 +112,12 @@ class FieldSpec:
     def velocity_batch(self, ys: np.ndarray, eta=None) -> np.ndarray:
         """Vectorized velocity for states of shape (..., 3).
 
-        `eta` may be an array broadcastable against ys[..., 0] to give each
-        sample its own forcing amplitude (used by the ensemble sweep).
+        `eta` may be an array that broadcasts to the shape of ys[..., 0],
+        to give each sample its own forcing amplitude (used by the ensemble
+        sweep).
         """
         v = np.stack(self._terms(ys[..., 0], ys[..., 1], ys[..., 2]), axis=-1)
-        if eta is None:
-            eta = self.eta
-        eta = np.asarray(eta, dtype=float)
-        if np.any(eta != 0.0):
-            v = v + eta[..., None] * self._h
+        v[..., 2] += self.eta if eta is None else eta
         return v
 
     def jacobian_times(self, ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -180,25 +158,6 @@ class Trajectory:
                   np.column_stack([self.t, self.y, self.casimir_series()]))
 
 
-def _solve(rhs, y0, t_end: float, tol: float, context: str, t_eval=None,
-           event=None):
-    """The package's one ODE solve: dy/dt = f(y) on [0, t_end] with DOP853.
-
-    rhs(y, d, h) is f(y + h d), and event(y, v) a function of a state and
-    its field, as _dop853.solve takes them; rtol = atol = tol. Returns
-    (t, y) as _dop853.solve does, or None when an event is given and does
-    not fire by t_end. Raises IntegrationError, prefixed by context, on a
-    failed solve or a non-finite state.
-    """
-    status, t, y = _dop853.solve(rhs, y0, t_end, tol, t_eval, event)
-    if status < 0:
-        raise IntegrationError(f"{context}: Required step size is less than "
-                               "spacing between numbers.")
-    if not np.all(np.isfinite(y)):
-        raise IntegrationError(f"{context}: non-finite state reached")
-    return None if event is not None and status == 0 else (t, y)
-
-
 def integrate(field, y0, t_end: float, tol: float = _TOL,
               t_eval=None) -> Trajectory:
     """Integrate dy/dt = field.velocity(y) from t = 0 to t_end.
@@ -215,14 +174,21 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
         if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0.0) \
                 or np.any(t_eval < 0.0) or np.any(t_eval > t_end):
             raise DomainError("t_eval must increase within [0, t_end]")
-    t, y = _solve(field._stage, y0, float(t_end), tol, "integrate",
-                  t_eval=t_eval)
+    t, y = _dop853.solve(field._stage, y0, float(t_end), tol, "integrate",
+                         t_eval=t_eval)
     return Trajectory(t=t, y=y)
 
 
 def absorption_rate(field: FieldSpec) -> float:
     """Decay constant m = min(1, zeta, beta) of the Casimir estimate."""
     return min(1.0, field.zeta, field.beta)
+
+
+def absorption_constant(field: FieldSpec, eta):
+    """K = |H_eta|^2 / m^2 = (eta - beta (zeta+gamma))^2 / m^2 of the
+    absorption estimate, at an amplitude or an array of them."""
+    d = eta - field.beta * field.shift
+    return d * d / absorption_rate(field) ** 2
 
 
 @dataclass
@@ -245,7 +211,8 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
                    seed: int = 0) -> SweepReport:
     """Monte Carlo check of the absorption estimate over random (y0, t, eta).
 
-    Checks C(flow_t(y0)) <= C(y0) e^{-mt} + (|H_eta|^2/m^2)(1 + e^{-mt})
+    Checks C(flow_t(y0)) <= C(y0) e^{-mt} + K (1 + e^{-mt}), K =
+    absorption_constant(field, eta),
     with y0 uniform in the ball of radius 50, t uniform in [0, 10] and eta
     uniform in [-1, 1]. Each _SWEEP_CHUNK samples are integrated as one
     stacked ODE, solved once and read at the chunk's sorted horizons; each
@@ -269,15 +236,14 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
         etas = _SWEEP_ETA_MAX * (2.0 * rng.random(n) - 1.0)
 
         horizons, col = np.unique(ts, return_inverse=True)
-        _, y = _solve(partial(_stacked_stage, base, etas), y0.ravel(),
-                      _SWEEP_T_MAX, _TOL, "lyapunov_sweep", t_eval=horizons)
+        _, y = _dop853.solve(partial(_stacked_stage, base, etas), y0.ravel(),
+                             _SWEEP_T_MAX, _TOL, "lyapunov_sweep",
+                             t_eval=horizons)
         yt = y.reshape(len(horizons), n, 3)[col, np.arange(n)]
         lhs = np.einsum("ij,ij->i", yt, yt)
-        # Casimir drift vector H_eta = eta H + H0 (module docstring).
-        heta = etas[:, None] * base.h[None, :] + base.h0[None, :]
-        k2 = np.einsum("ij,ij->i", heta, heta) / m**2
         decay = np.exp(-m * ts)
-        rhs_val = np.einsum("ij,ij->i", y0, y0) * decay + k2 * (1.0 + decay)
+        rhs_val = np.einsum("ij,ij->i", y0, y0) * decay \
+            + absorption_constant(base, etas) * (1.0 + decay)
         margin = rhs_val - lhs
         violations += int(np.count_nonzero(lhs > rhs_val * (1.0 + 1e-9) + 1e-9))
         i = int(np.argmin(margin))

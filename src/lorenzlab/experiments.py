@@ -184,7 +184,7 @@ def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
                   note="trapezoid against Simpson on one stored grid, "
                        "relative bound 1e-6")
 
-    drift = drift_check(law, trace)
+    drift = drift_check(trace)
     man.add_check("drift-strong-violations",
                   drift.violations_strong == 0, drift.violations_strong,
                   bound=0)

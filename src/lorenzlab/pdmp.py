@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import absorption_rate, as_state, integrate
+from .dynamics import absorption_constant, absorption_rate, as_state, \
+    integrate
 from .errors import DomainError
 from .noise import NoiseLaw
 from .section import (
@@ -210,8 +211,9 @@ class DriftReport:
     caveat: str
 
 
-def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace) -> DriftReport:
-    """Check the one-step drift of the Casimir at every transition.
+def drift_check(trace: MarkovRenewalTrace) -> DriftReport:
+    """Check the one-step drift of the Casimir at every transition, with the
+    constants of the law the trace was sampled under.
 
     Strong form: C(x_{n+1}) <= a C(x_n) + K (1 + a). Weak form:
     (1 + C)(x_{n+1}) <= a (1 + C)(x_n) + K_bar with
@@ -223,11 +225,9 @@ def drift_check(law: NoiseLaw, trace: MarkovRenewalTrace) -> DriftReport:
     m = absorption_rate(fld)
     inf_tau = float(np.min(trace.tau))
     a_eps = math.exp(-m * max(inf_tau - trace.section.tol, 0.0))
-    h, h0 = fld.h, fld.h0
-    # |eta h + h0|^2 is convex in eta: its largest value over the law is
-    # at an end of the support
-    k_eps = max(float(np.dot(eta * h + h0, eta * h + h0))
-                for eta in law.support) / m ** 2
+    # absorption_constant is convex in eta: its largest value over the law
+    # is at an end of the support
+    k_eps = max(absorption_constant(fld, eta) for eta in trace.law.support)
     k_bar = (1.0 - a_eps) + k_eps * (1.0 + a_eps)
 
     c_cur = trace.casimir

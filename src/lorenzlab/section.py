@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import FieldSpec, _solve, as_state, casimir
+from . import _dop853
+from .dynamics import FieldSpec, as_state, casimir, integrate
 from .errors import DomainError, HorizonExceeded, TangencyWarning
 from .noise import NoiseLaw
 
@@ -94,18 +95,18 @@ class FlowSegment:
 
 
 def _g(fld: FieldSpec, y, v) -> float:
-    """g = 2 <v0(y), y>, written as 2 (<v, y> - eta <h, y>) from v = fld(y).
+    """g = 2 <v0(y), y>, written as 2 (<v, y> - eta y3) from v = fld(y).
 
     The crossing search refines its roots on exactly this arithmetic.
     """
-    return 2.0 * (float(np.dot(v, y)) - fld.eta * float(np.dot(fld.h, y)))
+    return 2.0 * (float(np.dot(v, y)) - fld.eta * float(y[2]))
 
 
 def surface_derivatives(fld: FieldSpec, y) -> tuple[float, float]:
     """Surface function g (unforced Casimir slope) and dg/dt along fld."""
     y = as_state(y)
     v = fld.velocity(y)
-    v0 = v - fld.eta * fld.h
+    v0 = v - (0.0, 0.0, fld.eta)
     gdot = 2.0 * float(np.dot(fld.jacobian_times(y, v), y) + np.dot(v0, v))
     return _g(fld, y, v), gdot
 
@@ -137,8 +138,8 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
 
     def guard(y_in: np.ndarray) -> np.ndarray:
         nonlocal t_accum
-        t, ys = _solve(fld._stage, y_in, _GUARD_TIME, section.tol,
-                       "guard step failed")
+        t, ys = _dop853.solve(fld._stage, y_in, _GUARD_TIME, section.tol,
+                              "guard step failed")
         keep(t, ys)
         t_accum += _GUARD_TIME
         return ys[-1]
@@ -147,7 +148,7 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
         y = guard(y)
     while True:
         remaining = section.t_max - t_accum
-        found = None if remaining <= 0 else _solve(
+        found = None if remaining <= 0 else _dop853.solve(
             fld._stage, y, remaining, section.tol, "crossing search failed",
             event=partial(_g, fld))
         if found is None:
@@ -369,5 +370,4 @@ def _flatten(pieces: list[tuple[np.ndarray, np.ndarray]]) -> dict:
 def settle_on_attractor(fld: FieldSpec) -> np.ndarray:
     """A reproducible point on the attractor (fixed start, transient cut)."""
     y0 = np.array([1.0, 1.0, 1.0 - fld.shift])
-    return _solve(fld._stage, y0, _SETTLE_TIME, _SETTLE_TOL,
-                  "settle_on_attractor")[1][-1]
+    return integrate(fld, y0, _SETTLE_TIME, tol=_SETTLE_TOL).y[-1]

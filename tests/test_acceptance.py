@@ -230,7 +230,7 @@ def test_09_ergodic_average_convergence(section, y_start, chain_d0):
 
 
 def test_10_drift_inequality(chain_u005):
-    report = drift_check(NoiseLaw.uniform(0.05), chain_u005)
+    report = drift_check(chain_u005)
     assert report.violations_strong == 0
     assert report.violations_weak == 0
 

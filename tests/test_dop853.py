@@ -9,8 +9,7 @@ from scipy.integrate import solve_ivp
 
 from lorenzlab import (FieldSpec, NoiseLaw, SectionSpec, _dop853, integrate,
                        sample_chain, settle_on_attractor)
-from lorenzlab.dynamics import _solve
-from lorenzlab.errors import DomainError
+from lorenzlab.errors import DomainError, IntegrationError
 
 
 def test_tableau_order_conditions():
@@ -48,7 +47,7 @@ def test_terminal_crossing_matches_solve_ivp():
 
     ev.terminal, ev.direction = True, -1.0
     y0 = np.array([0.0, 1.0, 1.0])
-    t, y = _solve(_rotation, y0, 5.0, 1e-10, "test", event=g)
+    t, y = _dop853.solve(_rotation, y0, 5.0, 1e-10, "test", event=g)
     ref = _ivp(_rotation, y0, 5.0, 1e-10, events=[ev])
     assert ref.status == 1
     assert abs(t[-1] - ref.t_events[0][0]) <= 1e-9
@@ -60,14 +59,14 @@ def test_terminal_crossing_matches_solve_ivp():
 
 
 def test_no_crossing_before_t_end_returns_none():
-    assert _solve(_rotation, np.array([0.0, 1.0, 1.0]), 3.0, 1e-10, "test",
-                  event=lambda y, v: y[0]) is None
+    assert _dop853.solve(_rotation, np.array([0.0, 1.0, 1.0]), 3.0, 1e-10,
+                         "test", event=lambda y, v: y[0]) is None
 
 
 def test_t_eval_read_matches_solve_ivp():
     ts = np.linspace(0.0, 4.0, 41)
     y0 = np.array([0.0, 1.0, 1.0])
-    t, y = _solve(_rotation, y0, 4.0, 1e-10, "test", t_eval=ts)
+    t, y = _dop853.solve(_rotation, y0, 4.0, 1e-10, "test", t_eval=ts)
     ref = _ivp(_rotation, y0, 4.0, 1e-10, t_eval=ts)
     np.testing.assert_array_equal(t, ts)
     assert np.max(np.abs(y - ref.y.T)) <= 1e-9
@@ -86,15 +85,42 @@ def test_stacked_lanes_match_solve_ivp():
 
     y0 = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 2.0])
     ts = np.array([0.3, 1.1, 2.0])
-    t, y = _solve(rhs, y0, 2.0, 1e-10, "test", t_eval=ts)
+    t, y = _dop853.solve(rhs, y0, 2.0, 1e-10, "test", t_eval=ts)
     ref = _ivp(rhs, y0, 2.0, 1e-10, t_eval=ts)
     assert y.shape == (3, 6)
     assert np.max(np.abs(y - ref.y.T)) <= 1e-9
-    t, y = _solve(rhs, y0, 2.0, 1e-10, "test")
+    t, y = _dop853.solve(rhs, y0, 2.0, 1e-10, "test")
     ref = _ivp(rhs, y0, 2.0, 1e-10)
     assert len(t) == len(ref.t)
     assert np.max(np.abs(t - ref.t)) <= 1e-9
     assert np.max(np.abs(y - ref.y.T)) <= 1e-9
+
+
+def test_overflowing_field_fails_as_solve_ivp_does():
+    """dy/dt = 1e300 (1 + y) overflows f(y0) / scale, so the starting step
+    is 0 and the step underflows at once: scipy's status -1 and message,
+    raised as IntegrationError."""
+    class Overflow:
+        def _stage(self, y, d, h):
+            return 1e300 * (1.0 + (y + d * h))
+
+    y0 = np.ones(3)
+    with np.errstate(all="ignore"):
+        ref = solve_ivp(lambda t, y: Overflow()._stage(y, y, 0.0), (0.0, 5.0),
+                        y0, method="DOP853", rtol=1e-10, atol=1e-10)
+        assert ref.status == -1
+        with pytest.raises(IntegrationError) as err:
+            integrate(Overflow(), y0, 5.0)
+    assert str(err.value) == f"integrate: {ref.message}"
+
+
+def test_non_finite_state_raises_integration_error():
+    """A constant field from near the largest float: the step grows tenfold
+    with a zero error norm until y overflows to inf."""
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError) as err:
+        _dop853.solve(lambda y, d, h: np.ones(3), np.full(3, 1.7e308), 1e308,
+                      1e-10, "test")
+    assert str(err.value) == "test: non-finite state reached"
 
 
 @pytest.mark.parametrize("t_eval", [[0.5, 0.2], [-0.1, 0.5], [0.5, 2.5],

@@ -11,7 +11,8 @@ from lorenzlab import (
     integrate,
     lyapunov_sweep,
 )
-from lorenzlab.dynamics import Trajectory, _stacked_stage, absorption_rate
+from lorenzlab.dynamics import (Trajectory, _stacked_stage,
+                                 absorption_constant, absorption_rate)
 from lorenzlab.errors import DomainError, IntegrationError
 from lorenzlab.section import surface_derivatives
 
@@ -52,7 +53,6 @@ def test_classical_defaults(field):
     assert field.gamma == 28.0
     assert field.beta == pytest.approx(8.0 / 3.0)
     assert field.shift == 38.0
-    np.testing.assert_allclose(field.h0, [0.0, 0.0, -8.0 / 3.0 * 38.0])
 
 
 def test_parameter_validation():
@@ -60,8 +60,6 @@ def test_parameter_validation():
         FieldSpec(zeta=-1.0)
     with pytest.raises(DomainError):
         FieldSpec(beta=0.0)
-    with pytest.raises(DomainError):
-        FieldSpec(forcing=(0.0, 0.0, 2.0))
     with pytest.raises(DomainError):
         integrate(FieldSpec(), [1.0, 2.0], 1.0)
 
@@ -80,9 +78,9 @@ def test_equilibria(field):
 def test_jacobian_matches_finite_differences():
     """J(y) v from jacobian_times against central differences of the field,
     along the basis vectors and along the flow (the stored-flow
-    accelerations), under an oblique forcing. The field is quadratic, so
-    the differences are exact up to rounding."""
-    fld = FieldSpec(eta=0.3, forcing=(0.6, -0.48, 0.64))
+    accelerations), forced at eta 0.3. The field is quadratic, so the
+    differences are exact up to rounding."""
+    fld = FieldSpec(eta=0.3)
     ys = np.random.default_rng(4).normal(scale=20.0, size=(50, 3))
     h = 1e-4
     basis = [np.broadcast_to(e, ys.shape) for e in np.eye(3)]
@@ -97,7 +95,7 @@ def test_jacobian_times_is_jacobian_product():
     """The stacked J(y) v used for stored-flow accelerations, against the
     Jacobian matrix of the shifted-frame field written out here (the
     constant forcing does not enter it)."""
-    fld = FieldSpec(eta=0.3, forcing=(0.6, -0.48, 0.64))
+    fld = FieldSpec(eta=0.3)
     ys = np.random.default_rng(4).normal(scale=20.0, size=(50, 3))
     acc = fld.jacobian_times(ys, fld.velocity_batch(ys))
     z, b = fld.zeta, fld.beta
@@ -112,12 +110,12 @@ def test_jacobian_times_is_jacobian_product():
 
 def test_velocity_batch_matches_velocity():
     """The scalar RHS and the batched one round identically, for the
-    default forcing and an oblique one."""
+    classical field and one with zeta 0.5, forced at eta 0.3."""
     rng = np.random.default_rng(7)
     ys = rng.normal(scale=20.0, size=(64, 3))
     etas = rng.uniform(-0.5, 0.5, size=64)
     etas[:4] = 0.0
-    for field in (FieldSpec(), FieldSpec(forcing=(0.6, -0.48, 0.64))):
+    for field in (FieldSpec(), FieldSpec(zeta=0.5, eta=0.3)):
         batch = field.velocity_batch(ys, eta=etas)
         for y, eta, v in zip(ys, etas, batch):
             assert np.array_equal(v, field.with_eta(eta).velocity(y))
@@ -233,11 +231,21 @@ def test_absorption_rate_classical(field):
     assert absorption_rate(FieldSpec(beta=0.2)) == 0.2
 
 
-_OBLIQUE = (0.6, -0.48, 0.64)
+def test_absorption_constant_closed_form():
+    """K = (eta - beta (zeta+gamma))^2 / m^2 at zeta 0.5: m = 0.5 and
+    beta (zeta+gamma) = 8/3 * 28.5 = 76, for scalars and an array."""
+    fld = FieldSpec(zeta=0.5)
+    etas = np.array([-1.0, 0.0, 0.5])
+    expected = [4.0 * 77.0 ** 2, 4.0 * 76.0 ** 2, 4.0 * 75.5 ** 2]
+    for eta, k in zip(etas, expected):
+        assert absorption_constant(fld, float(eta)) == pytest.approx(
+            k, rel=1e-13)
+    np.testing.assert_array_equal(
+        absorption_constant(fld, etas),
+        [absorption_constant(fld, float(eta)) for eta in etas])
 
 
-@pytest.mark.parametrize("fld", [FieldSpec(), FieldSpec(eta=0.3,
-                                                        forcing=_OBLIQUE)])
+@pytest.mark.parametrize("fld", [FieldSpec(), FieldSpec(eta=0.3)])
 def test_stage_is_velocity_at_the_stage_point(fld):
     """The solver's RHS forms y + h d in floats: bit for bit velocity's."""
     rng = np.random.default_rng(5)
@@ -249,10 +257,10 @@ def test_stage_is_velocity_at_the_stage_point(fld):
 
 
 def test_sweep_stage_is_velocity_lane_by_lane():
-    """The sweep's stacked RHS, lane k forced at etas[k] along an oblique H,
-    is bit for bit each lane's own velocity at its stage point."""
+    """The sweep's stacked RHS, lane k forced at etas[k], is bit for bit
+    each lane's own velocity at its stage point."""
     rng = np.random.default_rng(6)
-    base, n = FieldSpec(forcing=_OBLIQUE), 200
+    base, n = FieldSpec(), 200
     etas = rng.uniform(-1.0, 1.0, n)
     y, d = rng.normal(0.0, 20.0, 3 * n), rng.normal(0.0, 300.0, 3 * n)
     h = 0.0123

@@ -16,6 +16,7 @@ from lorenzlab import (
     suspension_conjugation_check,
 )
 from lorenzlab import pdmp
+from lorenzlab.dynamics import absorption_constant
 from lorenzlab.errors import DomainError, HorizonExceeded, TangencyWarning
 from lorenzlab.pdmp import PdmpTrajectory
 
@@ -225,7 +226,7 @@ def test_ratio_needs_enough_transitions(chain_short):
 
 
 def test_drift_inequality_holds(chain_med):
-    rep = drift_check(chain_med.law, chain_med)
+    rep = drift_check(chain_med)
     assert rep.violations_strong == 0
     assert rep.violations_weak == 0
     assert rep.m == 1.0
@@ -241,9 +242,21 @@ def test_drift_floor_is_classical_forcing_norm(section, x_on_section):
     """Unforced drift constant equals |H0|^2 = (304/3)^2."""
     law = NoiseLaw.delta_zero()
     tr = sample_chain(law, section, x_on_section, n=40, seed=1)
-    rep = drift_check(law, tr)
+    rep = drift_check(tr)
     assert rep.k_eps == pytest.approx((304.0 / 3.0) ** 2, rel=1e-12)
     assert rep.violations_strong == 0
+
+
+def test_drift_constant_is_the_law_end_farther_from_h0(section, x_on_section):
+    """Two-atom law (0.025, 0.05): K is largest at the atom farther from
+    beta (zeta+gamma) = 304/3, the one drift_check reads off trace.law."""
+    tr = sample_chain(NoiseLaw.discrete((0.025, 0.05)), section, x_on_section,
+                      n=40, seed=1)
+    rep = drift_check(tr)
+    assert rep.k_eps == absorption_constant(section.field, 0.025)
+    assert rep.k_eps > absorption_constant(section.field, 0.05)
+    assert rep.violations_strong == 0
+    assert rep.violations_weak == 0
 
 
 def test_conjugation_check(section, x_on_section):
