@@ -117,8 +117,10 @@ def _initial_step(fun, y0, t_end, f0, rtol, atol):
 
 
 def _interpolate(F, y_old, x):
-    """The step's dense output at fractions x (a scalar, or a column)."""
-    y = np.zeros(np.shape(x)[:1] + y_old.shape)
+    """The step's dense output at fractions x (a scalar, or a column),
+    elementwise in the state's components, so F and y_old may hold a row
+    of chosen components per fraction."""
+    y = np.zeros(np.shape(x)[:1] + y_old.shape[-1:])
     for i, f in enumerate(F[::-1]):
         y += f
         y *= x if i % 2 == 0 else 1 - x
@@ -170,7 +172,7 @@ def _brentq(f, xpre: float, xcur: float) -> float:
 
 
 def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
-          event=None):
+          event=None, pick=None):
     """The package's one ODE solve: dy/dt = f(y) from t = 0 to t_end > 0,
     rtol = atol = tol.
 
@@ -180,8 +182,10 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
     event(y, v) is a scalar function of a state y and its field v = f(y).
 
     Returns (t, y), the states in the rows of y: at t = 0 and every
-    accepted step, or at t_eval (increasing, within [0, t_end]). With an
-    event (not combined with t_eval) the solve stops where the event falls
+    accepted step, or at t_eval (non-decreasing, within [0, t_end]). pick,
+    an integer array of shape (len(t_eval), k), makes row i hold only the
+    components pick[i] of the state at t_eval[i], bit for bit as the full
+    row holds them. With an event (not combined with t_eval) the solve stops where the event falls
     through zero, the last row being the root on the step's interpolant,
     and returns None when it does not fall by t_end. Raises
     IntegrationError, prefixed by context, when the step falls below ten
@@ -202,7 +206,9 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
         ts, ys = [t], [y]
     else:
         t_eval, i_eval = np.asarray(t_eval), 0
-        ys = np.empty((len(t_eval), n))
+        if pick is None:
+            pick = np.broadcast_to(np.arange(n), (len(t_eval), n))
+        ys = np.empty(pick.shape)
     g = None if event is None else event(y, f)
 
     def dense():
@@ -281,7 +287,9 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
         i_new = np.searchsorted(t_eval, t, side="right")
         if i_new > i_eval:
             x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
-            ys[i_eval:i_new] = _interpolate(dense(), y_old, x[:, None])
+            c = pick[i_eval:i_new]
+            ys[i_eval:i_new] = _interpolate(dense()[:, c], y_old[c],
+                                            x[:, None])
             i_eval = i_new
     t_out, y_out = (np.array(ts), np.array(ys)) if t_eval is None \
         else (t_eval, ys)

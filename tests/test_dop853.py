@@ -96,6 +96,19 @@ def test_stacked_lanes_match_solve_ivp():
     assert np.max(np.abs(y - ref.y.T)) <= 1e-9
 
 
+def test_picked_components_are_the_full_rows_bits():
+    """pick keeps a chosen set of components per t_eval row, repeated
+    times included, and leaves the step sequence as it is."""
+    y0 = np.array([0.0, 1.0, 1.0])
+    ts = np.array([0.0, 0.25, 0.25, 1.7, 3.1, 4.0])
+    pick = np.array([[0, 2], [1, 1], [2, 0], [0, 1], [2, 2], [1, 0]])
+    _, full = _dop853.solve(_rotation, y0, 4.0, 1e-10, "test", t_eval=ts)
+    t, y = _dop853.solve(_rotation, y0, 4.0, 1e-10, "test", t_eval=ts,
+                         pick=pick)
+    np.testing.assert_array_equal(t, ts)
+    np.testing.assert_array_equal(y, np.take_along_axis(full, pick, axis=1))
+
+
 def test_overflowing_field_fails_as_solve_ivp_does():
     """dy/dt = 1e300 (1 + y) overflows f(y0) / scale, so the starting step
     is 0 and the step underflows at once: scipy's status -1 and message,
