@@ -7,11 +7,22 @@ so its output is bit-identical to that call's, for what the package uses:
 an autonomous real system solved forward from t = 0, at most one event,
 whose root is scipy's brentq, ported as `_brentq`.
 
-The right-hand side takes a base state, a direction and a step, fun(y, d,
-h) = f(y + h d), so a field can form each stage point in its own
-arithmetic (scalars, for one state) instead of three numpy calls. Every
-dot product stays in numpy: BLAS may contract it to fused multiply-adds,
-which a Python sum does not reproduce.
+Two loops run it, and the state's shape picks one:
+- one state of three components, every chain, crossing search and
+  `integrate`, runs with y, f(y), |y|, the error scale and the step sizes
+  as Python floats, calling the field as f(y1, y2, y3) -> (v1, v2, v3), so
+  a step makes 12 field calls and no numpy call for elementwise work;
+- stacked lanes, the sweep's 500 samples as one flat vector of 1,500
+  components, too many for float arithmetic, run on numpy arrays, the
+  field taking a base state, a direction and a step, fun(y, d, h) =
+  f(y + h d).
+They share the tableau, the starting step, the step-size rule, the dense
+output and the root. Every dot product stays in numpy on the same (16, n)
+stage buffer in both loops: each stage's K[:s].T.dot(a), the B, E5 and E3
+weights, the two error norms and the event's <v, y>. OpenBLAS forms a
+3-element dot as a sequence of fused multiply-adds, which a Python sum
+does not reproduce (Python 3.11 has no math.fma); elementwise arithmetic
+rounds the same in floats as in numpy, so neither loop moves a bit.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .errors import IntegrationError
 EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
+_TOO_SMALL = "Required step size is less than spacing between numbers."
 
 
 def _floats(text: str) -> np.ndarray:
@@ -101,12 +113,12 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5  # as np.linalg.norm takes it
 
 
-def _initial_step(fun, y0, t_end, f0, rtol, atol):
+def _initial_step(stage, y0, t_end, f0, rtol, atol):
     """Hairer's starting step (Solving ODEs I, II.4), as scipy takes it."""
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    d2 = _rms((fun(y0, f0, h0) - f0) / scale)
+    d2 = _rms((stage(y0, f0, h0) - f0) / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         d2 = float(d2 / np.float64(h0))  # as float64: h0 = 0 if f0 overflowed
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -114,6 +126,42 @@ def _initial_step(fun, y0, t_end, f0, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (7 + 1))
     return min(100 * h0, h1, t_end)
+
+
+def _control(KT, scale, err5, err3, h_abs, rejected):
+    """scipy's error norm and step-size rule for a step of size h_abs with
+    stages KT (components by stages) and error scale `scale`, err5 and err3
+    buffers: the next step size, and whether the step is accepted."""
+    KT.dot(_E5, out=err5)
+    KT.dot(_E3, out=err3)
+    err5 /= scale
+    err3 /= scale
+    # the squared norms as np.linalg.norm(x) ** 2 computes them
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        error_norm = 0.0
+    else:
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        error_norm = h_abs * err5_norm_2 / math.sqrt(denom * scale.size)
+    if error_norm < 1:
+        factor = _MAX_FACTOR if error_norm == 0 else min(
+            _MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+        return h_abs * (min(1, factor) if rejected else factor), True
+    return h_abs * max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT), False
+
+
+def _dense(stage, K_ext, y_old, y, f_old, f, h):
+    """The last step's 7-power interpolant (scipy's Dop853DenseOutput), its
+    three extra stages written to K_ext[13:16]."""
+    for s in (13, 14, 15):
+        K_ext[s] = stage(y_old, K_ext[:s].T.dot(_A[s, :s]), h)
+    F = np.empty((7, y.size))
+    F[0] = delta_y = y - y_old
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * _D.dot(K_ext)
+    return F
 
 
 def _interpolate(F, y_old, x):
@@ -126,6 +174,26 @@ def _interpolate(F, y_old, x):
         y *= x if i % 2 == 0 else 1 - x
     y += y_old
     return y
+
+
+def _rows(t_eval, pick, n):
+    """The output rows at t_eval: whole states of n components, or the
+    components pick[i] at t_eval[i]."""
+    if pick is None:
+        pick = np.broadcast_to(np.arange(n), (len(t_eval), n))
+    return np.asarray(t_eval), pick, np.empty(pick.shape)
+
+
+def _read(ys, t_eval, pick, i_eval, t_old, t, dense):
+    """Fill the rows of ys whose times lie in the step (t_old, t] from its
+    interpolant, dense() -> (F, y_old); return the next row to fill."""
+    i_new = np.searchsorted(t_eval, t, side="right")
+    if i_new > i_eval:
+        F, y_old = dense()
+        x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
+        c = pick[i_eval:i_new]
+        ys[i_eval:i_new] = _interpolate(F[:, c], y_old[c], x[:, None])
+    return i_new
 
 
 def _brentq(f, xpre: float, xcur: float) -> float:
@@ -174,58 +242,72 @@ def _brentq(f, xpre: float, xcur: float) -> float:
 def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
           event=None, pick=None):
     """The package's one ODE solve: dy/dt = f(y) from t = 0 to t_end > 0,
-    rtol = atol = tol.
+    rtol = atol = tol. The state's shape picks the loop.
 
-    fun(y, d, h) returns f at the point y + h d, formed as y + d * h: the
-    loop passes a stage's base state, stage product and step, and
-    (y, y, 0.0) for f(y) itself (y + 0 y is y, signed zeros included).
-    event(y, v) is a scalar function of a state y and its field v = f(y).
+    One state, y0 of shape (3,), runs in Python floats: fun(y1, y2, y3)
+    returns the three components of f. event(y, v), a scalar function of
+    a state y and its field v = f(y) (both arrays), stops the solve where
+    it falls through zero, the last row being the root on the step's
+    interpolant; the solve returns None when it does not fall by t_end.
+
+    Stacked lanes, y0 of any other shape, run in numpy as one flat vector
+    of n components: fun(y, d, h) returns f at the point y + h d, formed
+    as y + d * h, and is called as fun(y, y, 0.0) for f(y) itself (y + 0 y
+    is y, signed zeros included). It has no event.
 
     Returns (t, y), the states in the rows of y: at t = 0 and every
-    accepted step, or at t_eval (non-decreasing, within [0, t_end]). pick,
-    an integer array of shape (len(t_eval), k), makes row i hold only the
-    components pick[i] of the state at t_eval[i], bit for bit as the full
-    row holds them. With an event (not combined with t_eval) the solve stops where the event falls
-    through zero, the last row being the root on the step's interpolant,
-    and returns None when it does not fall by t_end. Raises
-    IntegrationError, prefixed by context, when the step falls below ten
-    spacings of t or a returned state is not finite.
+    accepted step, or at t_eval (non-decreasing, within [0, t_end]; not
+    combined with an event). pick, an integer array of shape
+    (len(t_eval), k), makes row i hold only the components pick[i] of the
+    state at t_eval[i], bit for bit as the full row holds them. Raises IntegrationError, prefixed by context,
+    when the step falls below ten spacings of t or a returned state is not
+    finite.
     """
     rtol, atol = max(tol, 100 * EPS), tol
-    y = np.asarray(y0, dtype=float)
-    n = y.size
-    f = fun(y, y, 0.0)
-    h_abs = _initial_step(fun, y, t_end, f, rtol, atol)
-    K_ext = np.empty((16, n))
-    KT, K12T = K_ext[:13].T, K_ext[:12].T
-    stages = [(s, K_ext[:s].T, _A[s, :s]) for s in range(1, 12)]
-    extra = [(s, K_ext[:s].T, _A[s, :s]) for s in (13, 14, 15)]
-    abs_y, (scale, err5, err3) = np.abs(y), np.empty((3, n))
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape == (3,):
+        t_out, y_out, fired = _solve_state(fun, y0, t_end, rtol, atol,
+                                           context, t_eval, event, pick)
+    else:
+        t_out, y_out = _solve_lanes(fun, y0.ravel(), t_end, rtol, atol,
+                                    context, t_eval, pick)
+    if not np.all(np.isfinite(y_out)):
+        raise IntegrationError(f"{context}: non-finite state reached")
+    return None if event is not None and not fired else (t_out, y_out)
+
+
+def _solve_state(f, y0, t_end, rtol, atol, context, t_eval, event, pick):
+    """The loop for one state (solve): y, f(y), |y|, the scale and the
+    step sizes in Python floats, each stage row K_ext[s] = f at the stage
+    point formed in floats from the stage's numpy dot."""
+    def stage(y, d, h):  # f at y + h d for the shared steps, as an array
+        return np.array(f(*(y + d * h).tolist()))
+
+    y = tuple(y0.tolist())
+    fy = f(*y)
+    h_abs = _initial_step(stage, y0, t_end, np.array(fy), rtol, atol)
+    K_ext, d = np.empty((16, 3)), np.empty(3)
+    KT, K12T, k12 = K_ext[:13].T, K_ext[:12].T, K_ext[12]
+    stages = [(K_ext[s], K_ext[:s].T, _A[s, :s]) for s in range(1, 12)]
+    scale, err5, err3 = np.empty((3, 3))
+    a1, a2, a3 = map(abs, y)
     t = 0.0
     if t_eval is None:
         ts, ys = [t], [y]
     else:
-        t_eval, i_eval = np.asarray(t_eval), 0
-        if pick is None:
-            pick = np.broadcast_to(np.arange(n), (len(t_eval), n))
-        ys = np.empty(pick.shape)
-    g = None if event is None else event(y, f)
+        (t_eval, pick, ys), i_eval = _rows(t_eval, pick, 3), 0
+    g = None if event is None else event(y0, np.array(fy))
 
     def dense():
-        """The last step's 7-power interpolant (scipy's Dop853DenseOutput)."""
-        for s, KsT, a in extra:
-            K_ext[s] = fun(y_old, KsT.dot(a), h)
-        F = np.empty((7, n))
-        F[0] = delta_y = y - y_old
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f + f_old)
-        F[3:] = h * _D.dot(K_ext)
-        return F
+        """The last step's interpolant F, and its start as an array."""
+        y_old_a = np.array(y_old)
+        return _dense(stage, K_ext, y_old_a, np.array(y), np.array(f_old),
+                      np.array(fy), h), y_old_a
 
     def g_at(tq):
         """The event along the interpolant F of the last step."""
-        yq = _interpolate(F, y_old, (tq - t_old) / (t - t_old))
-        return event(yq, fun(yq, yq, 0.0))
+        yq = _interpolate(F, y_old_a, (tq - t_old) / (t - t_old))
+        return event(yq, np.array(f(*yq.tolist())))
 
     done = fired = False
     while not done:
@@ -233,10 +315,77 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
+        y1, y2, y3 = y
+        K_ext[0] = fy
         while True:
             if h_abs < min_step:
-                raise IntegrationError(f"{context}: Required step size is "
-                                       "less than spacing between numbers.")
+                raise IntegrationError(f"{context}: {_TOO_SMALL}")
+            t_new = t_end if t + h_abs - t_end > 0 else t + h_abs
+            h = t_new - t
+            h_abs = abs(h)
+            for k, KsT, a in stages:  # k: the stage's row of K_ext
+                d1, d2, d3 = KsT.dot(a, out=d).tolist()
+                k[0], k[1], k[2] = f(y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+            d1, d2, d3 = K12T.dot(_B, out=d).tolist()
+            n1, n2, n3 = y1 + h * d1, y2 + h * d2, y3 + h * d3
+            k12[0], k12[1], k12[2] = f_new = f(n1, n2, n3)
+            b1, b2, b3 = abs(n1), abs(n2), abs(n3)
+            # np.maximum's: the larger, or nan when either is
+            scale[0], scale[1], scale[2] = (
+                (a1 if a1 >= b1 or a1 != a1 else b1) * rtol + atol,
+                (a2 if a2 >= b2 or a2 != a2 else b2) * rtol + atol,
+                (a3 if a3 >= b3 or a3 != a3 else b3) * rtol + atol)
+            h_abs, accepted = _control(KT, scale, err5, err3, h_abs,
+                                       rejected)
+            if accepted:
+                break
+            rejected = True
+        t_old, y_old, f_old = t, y, fy
+        t, y, fy, a1, a2, a3 = t_new, (n1, n2, n3), f_new, b1, b2, b3
+        done = t - t_end >= 0
+        if event is not None:
+            g_new = event(np.array(y), k12)
+            if g >= 0 and g_new <= 0:
+                F, y_old_a = dense()
+                t_root = _brentq(g_at, t_old, t)
+                y = tuple(_interpolate(F, y_old_a, (t_root - t_old)
+                                       / (t - t_old)).tolist())
+                t, done, fired = t_root, True, True
+            g = g_new
+        if t_eval is None:
+            ts.append(t)
+            ys.append(y)
+        else:
+            i_eval = _read(ys, t_eval, pick, i_eval, t_old, t, dense)
+    if t_eval is None:
+        return np.array(ts), np.array(ys), fired
+    return t_eval, ys, fired
+
+
+def _solve_lanes(fun, y, t_end, rtol, atol, context, t_eval, pick):
+    """The loop for stacked lanes (solve), on numpy arrays of n
+    components."""
+    n = y.size
+    f = fun(y, y, 0.0)
+    h_abs = _initial_step(fun, y, t_end, f, rtol, atol)
+    K_ext = np.empty((16, n))
+    KT, K12T = K_ext[:13].T, K_ext[:12].T
+    stages = [(s, K_ext[:s].T, _A[s, :s]) for s in range(1, 12)]
+    abs_y, (scale, err5, err3) = np.abs(y), np.empty((3, n))
+    t = 0.0
+    if t_eval is None:
+        ts, ys = [t], [y]
+    else:
+        (t_eval, pick, ys), i_eval = _rows(t_eval, pick, n), 0
+    done = False
+    while not done:
+        # One accepted step (scipy's RungeKutta._step_impl and rk_step).
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"{context}: {_TOO_SMALL}")
             t_new = t_end if t + h_abs - t_end > 0 else t + h_abs
             h = t_new - t
             h_abs = abs(h)
@@ -250,49 +399,18 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
             np.maximum(abs_y, abs_new, out=scale)
             scale *= rtol
             scale += atol
-            KT.dot(_E5, out=err5)
-            KT.dot(_E3, out=err3)
-            err5 /= scale
-            err3 /= scale
-            # the squared norms as np.linalg.norm(x) ** 2 computes them
-            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
-            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
-            if err5_norm_2 == 0 and err3_norm_2 == 0:
-                error_norm = 0.0
-            else:
-                denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * n)
-            if error_norm < 1:
-                factor = _MAX_FACTOR if error_norm == 0 else min(
-                    _MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
+            h_abs, accepted = _control(KT, scale, err5, err3, h_abs,
+                                       rejected)
+            if accepted:
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
             rejected = True
         t_old, y_old, f_old = t, y, f
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
         done = t - t_end >= 0
-        if event is not None:
-            g_new = event(y, f)
-            if g >= 0 and g_new <= 0:
-                F = dense()
-                t_root = _brentq(g_at, t_old, t)
-                y = _interpolate(F, y_old, (t_root - t_old) / (t - t_old))
-                t, done, fired = t_root, True, True
-            g = g_new
         if t_eval is None:
             ts.append(t)
             ys.append(y)
-            continue
-        i_new = np.searchsorted(t_eval, t, side="right")
-        if i_new > i_eval:
-            x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
-            c = pick[i_eval:i_new]
-            ys[i_eval:i_new] = _interpolate(dense()[:, c], y_old[c],
-                                            x[:, None])
-            i_eval = i_new
-    t_out, y_out = (np.array(ts), np.array(ys)) if t_eval is None \
-        else (t_eval, ys)
-    if not np.all(np.isfinite(y_out)):
-        raise IntegrationError(f"{context}: non-finite state reached")
-    return None if event is not None and not fired else (t_out, y_out)
+        else:
+            i_eval = _read(ys, t_eval, pick, i_eval, t_old, t, lambda: (
+                _dense(fun, K_ext, y_old, y, f_old, f, h), y_old))
+    return (np.array(ts), np.array(ys)) if t_eval is None else (t_eval, ys)

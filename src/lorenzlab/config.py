@@ -8,6 +8,7 @@ silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -48,15 +49,16 @@ class ExperimentConfig:
                 f"choose from {', '.join(EXPERIMENTS)}")
         if self.noise_kind not in _NOISE_KINDS:
             raise ConfigError(f"unknown noise_kind {self.noise_kind!r}")
+        # the chained comparisons are false for nan, and for inf at the top
         for name in ("zeta", "gamma", "beta", "t_final", "eps_box"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.eps < 0:
-            raise ConfigError("eps must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be > 0 and finite")
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError("eps must be >= 0 and finite")
         if not self.eps_ladder:
             raise ConfigError("ladder must be non-empty")
-        if not all(v > 0 for v in self.eps_ladder):
-            raise ConfigError("ladder entries must be > 0")
+        if not all(0 < v < math.inf for v in self.eps_ladder):
+            raise ConfigError("ladder entries must be > 0 and finite")
         if any(b >= a for a, b in zip(self.eps_ladder, self.eps_ladder[1:])):
             raise ConfigError("ladder must be strictly decreasing")
         for name in ("n_samples", "n_transitions", "probes"):

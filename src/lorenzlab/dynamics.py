@@ -20,10 +20,14 @@ exponential absorption estimate, with m = min(1, zeta, beta),
 
 checked over random starts, horizons and amplitudes by `lyapunov_sweep`.
 
-Every solve goes through `_dop853.solve`, the in-repo DOP853 loop with one
-error path. Its right-hand side is a stage function rhs(y, d, h), the field
-at y + h d: `FieldSpec._stage` for one state, and the sweep's stacked field
-for many.
+Every solve goes through `_dop853.solve`, the in-repo DOP853 with one
+error path, and the state's shape picks its loop. One state (`integrate`,
+and every crossing search in `section`) runs in Python floats on
+`FieldSpec._terms(y1, y2, y3)`, the one field formula; the sweep's stacked
+lanes run in numpy on `_stacked_stage`, the field at y + h d through
+`velocity_batch`. Every dot product of the solver stays in numpy, where
+BLAS contracts it to fused multiply-adds that a Python sum does not
+reproduce, so both loops give scipy's DOP853 bit for bit.
 """
 
 from __future__ import annotations
@@ -90,24 +94,19 @@ class FieldSpec:
         """Vertical offset gamma + zeta of the shifted frame."""
         return self.gamma + self.zeta
 
-    def _terms(self, y1, y2, y3):
-        """The three velocity components, for scalars or arrays."""
+    def _terms(self, y1, y2, y3, eta=None):
+        """The velocity's three components at (y1, y2, y3), forced at eta
+        (self.eta by default): Python floats for one state, as the
+        one-state solver calls it, or arrays for a stack, where an array
+        eta forces each lane at its own amplitude."""
         z, b = self.zeta, self.beta
         return (z * (y2 - y1), -y1 * y3 + self._c2 * y1 - y2,
-                y1 * y2 - b * y3 + self._c3)
-
-    def _at(self, y1, y2, y3) -> np.ndarray:
-        # Python floats round exactly like numpy scalars and cost less.
-        v1, v2, v3 = self._terms(y1, y2, y3)
-        return np.array((v1, v2, v3 + self.eta))
+                y1 * y2 - b * y3 + self._c3
+                + (self.eta if eta is None else eta))
 
     def velocity(self, y) -> np.ndarray:
-        return self._at(*np.asarray(y).tolist())
-
-    def _stage(self, y, d, h) -> np.ndarray:
-        """velocity(y + h d), the point formed in floats: the solver's RHS."""
-        (y1, y2, y3), (d1, d2, d3) = y.tolist(), d.tolist()
-        return self._at(y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+        # Python floats round exactly like numpy scalars and cost less.
+        return np.array(self._terms(*np.asarray(y).tolist()))
 
     def velocity_batch(self, ys: np.ndarray, eta=None) -> np.ndarray:
         """Vectorized velocity for states of shape (..., 3).
@@ -116,9 +115,8 @@ class FieldSpec:
         to give each sample its own forcing amplitude (used by the ensemble
         sweep).
         """
-        v = np.stack(self._terms(ys[..., 0], ys[..., 1], ys[..., 2]), axis=-1)
-        v[..., 2] += self.eta if eta is None else eta
-        return v
+        return np.stack(self._terms(ys[..., 0], ys[..., 1], ys[..., 2], eta),
+                        axis=-1)
 
     def jacobian_times(self, ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """J(y) v for stacks of states and vectors of shape (..., 3).
@@ -164,7 +162,7 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
 
     Uses the order-8 embedded RK pair with rtol = atol = tol and returns
     the states at t_eval, or at every accepted step when t_eval is None.
-    The solver reads the field through its stage method field._stage.
+    The solver reads the field through field._terms(y1, y2, y3).
     """
     y0 = as_state(y0)
     if not (t_end > 0.0):
@@ -174,7 +172,7 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
         if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0.0) \
                 or np.any(t_eval < 0.0) or np.any(t_eval > t_end):
             raise DomainError("t_eval must increase within [0, t_end]")
-    t, y = _dop853.solve(field._stage, y0, float(t_end), tol, "integrate",
+    t, y = _dop853.solve(field._terms, y0, float(t_end), tol, "integrate",
                          t_eval=t_eval)
     return Trajectory(t=t, y=y)
 
@@ -235,9 +233,10 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
         ts = _SWEEP_T_MAX * rng.random(n)
         etas = _SWEEP_ETA_MAX * (2.0 * rng.random(n) - 1.0)
 
-        # each sample's three components at its own horizon, in time order
+        # each sample's three components at its own horizon, in time order;
+        # y0 of shape (n, 3) runs the solver's stacked loop, even at n = 1
         order = np.argsort(ts)
-        _, y = _dop853.solve(partial(_stacked_stage, base, etas), y0.ravel(),
+        _, y = _dop853.solve(partial(_stacked_stage, base, etas), y0,
                              _SWEEP_T_MAX, _TOL, "lyapunov_sweep",
                              t_eval=ts[order],
                              pick=3 * order[:, None] + np.arange(3))

@@ -99,7 +99,7 @@ def _g(fld: FieldSpec, y, v) -> float:
 
     The crossing search refines its roots on exactly this arithmetic.
     """
-    return 2.0 * (float(np.dot(v, y)) - fld.eta * float(y[2]))
+    return 2.0 * (float(v.dot(y)) - fld.eta * float(y[2]))
 
 
 def surface_derivatives(fld: FieldSpec, y) -> tuple[float, float]:
@@ -138,7 +138,7 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
 
     def guard(y_in: np.ndarray) -> np.ndarray:
         nonlocal t_accum
-        t, ys = _dop853.solve(fld._stage, y_in, _GUARD_TIME, section.tol,
+        t, ys = _dop853.solve(fld._terms, y_in, _GUARD_TIME, section.tol,
                               "guard step failed")
         keep(t, ys)
         t_accum += _GUARD_TIME
@@ -149,7 +149,7 @@ def _search(section: SectionSpec, y0, eta: float, want_segment: bool,
     while True:
         remaining = section.t_max - t_accum
         found = None if remaining <= 0 else _dop853.solve(
-            fld._stage, y, remaining, section.tol, "crossing search failed",
+            fld._terms, y, remaining, section.tol, "crossing search failed",
             event=partial(_g, fld))
         if found is None:
             raise HorizonExceeded(

@@ -64,21 +64,29 @@ class TestConfigParsing:
                 make_config({"eps_ladder": ladder})
 
     def test_ladder_rungs_positive_and_present(self):
-        for ladder in ((0.01, 0.1, -0.5), "0.1,0.05,0"):
+        for ladder in ((0.01, 0.1, -0.5), "0.1,0.05,0", "inf,0.1,0.05",
+                       "0.1,nan,0.05"):
             with pytest.raises(ConfigError, match="must be > 0"):
                 make_config({"eps_ladder": ladder})
         with pytest.raises(ConfigError, match="non-empty"):
             ExperimentConfig(eps_ladder=())
 
     def test_negative_eps_rejected(self):
-        with pytest.raises(ConfigError, match="eps must be >= 0"):
-            make_config({"eps": "-0.01"})
+        for eps in ("-0.01", "nan", "inf"):
+            with pytest.raises(ConfigError, match="eps must be >= 0"):
+                make_config({"eps": eps})
 
     @pytest.mark.parametrize("key, value, message", [
         ("experiment", "lorenz", "unknown experiment 'lorenz'"),
         ("noise_kind", "cauchy", "unknown noise_kind 'cauchy'"),
         ("t_final", "0", "t_final must be > 0"),
+        ("t_final", "nan", "t_final must be > 0 and finite"),
+        ("t_final", "inf", "t_final must be > 0 and finite"),
         ("eps_box", "-25", "eps_box must be > 0"),
+        ("eps_box", "inf", "eps_box must be > 0 and finite"),
+        ("zeta", "nan", "zeta must be > 0 and finite"),
+        ("gamma", "-inf", "gamma must be > 0 and finite"),
+        ("beta", "inf", "beta must be > 0 and finite"),
         ("n_transitions", "0", "n_transitions must be >= 1"),
         ("burn_in", "-1", "burn_in must be >= 0"),
         ("n_bins", "15", "n_bins must be >= 16"),
@@ -131,8 +139,12 @@ class TestConfigParsing:
 
 class TestExitCodes:
     def test_validation_failure_is_2(self, capsys):
-        assert main(["attractor", "-s", "eps=-1"]) == 2
-        assert "eps must be >= 0" in capsys.readouterr().err
+        for eps in ("-1", "nan"):
+            assert main(["attractor", "-s", f"eps={eps}"]) == 2
+            assert "eps must be >= 0" in capsys.readouterr().err
+        for t_final in ("nan", "inf"):
+            assert main(["attractor", "-s", f"t_final={t_final}"]) == 2
+            assert "t_final must be > 0 and finite" in capsys.readouterr().err
 
     def test_unknown_key_is_2(self, capsys):
         assert main(["attractor", "-s", "bogus=3"]) == 2

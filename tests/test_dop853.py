@@ -1,7 +1,9 @@
-"""The in-repo DOP853 loop: its tableau, with scipy's solve_ivp and brentq as
-oracles."""
+"""The in-repo DOP853 loops, one state in floats and stacked lanes in numpy:
+their tableau, with scipy's solve_ivp and brentq as oracles, and with each
+other."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from scipy.integrate import solve_ivp
 
 from lorenzlab import (FieldSpec, NoiseLaw, SectionSpec, _dop853, integrate,
                        sample_chain, settle_on_attractor)
+from lorenzlab.dynamics import _stacked_stage
 from lorenzlab.errors import DomainError, IntegrationError
+from lorenzlab.section import _g
 
 
 def test_tableau_order_conditions():
@@ -24,17 +28,22 @@ def test_tableau_order_conditions():
     assert abs(_dop853._E3.sum()) <= 1e-14
 
 
-def _rotation(y, d, h):
-    """y1 = sin t, y2 = cos t, y3 = e^{-t/2} from (0, 1, 1); at y + h d."""
-    y = y + d * h
-    return np.array([y[1], -y[0], -0.5 * y[2]])
+def _rotation(y1, y2, y3):
+    """y1 = sin t, y2 = cos t, y3 = e^{-t/2} from (0, 1, 1)."""
+    return y2, -y1, -0.5 * y3
 
 
 def _ivp(fun, y0, t_end, tol, **options):
-    sol = solve_ivp(lambda t, y: fun(y, y, 0.0), (0.0, t_end), y0,
+    """solve_ivp's DOP853 on fun(y), an array's field as an array."""
+    sol = solve_ivp(lambda t, y: fun(y), (0.0, t_end), y0,
                     method="DOP853", rtol=tol, atol=tol, **options)
     assert sol.success
     return sol
+
+
+def _array(f):
+    """The field f(y1, y2, y3) of the one-state loop, on arrays."""
+    return lambda y: np.array(f(*y.tolist()))
 
 
 def test_terminal_crossing_matches_solve_ivp():
@@ -48,7 +57,7 @@ def test_terminal_crossing_matches_solve_ivp():
     ev.terminal, ev.direction = True, -1.0
     y0 = np.array([0.0, 1.0, 1.0])
     t, y = _dop853.solve(_rotation, y0, 5.0, 1e-10, "test", event=g)
-    ref = _ivp(_rotation, y0, 5.0, 1e-10, events=[ev])
+    ref = _ivp(_array(_rotation), y0, 5.0, 1e-10, events=[ev])
     assert ref.status == 1
     assert abs(t[-1] - ref.t_events[0][0]) <= 1e-9
     assert np.max(np.abs(y[-1] - ref.y_events[0][0])) <= 1e-9
@@ -67,7 +76,7 @@ def test_t_eval_read_matches_solve_ivp():
     ts = np.linspace(0.0, 4.0, 41)
     y0 = np.array([0.0, 1.0, 1.0])
     t, y = _dop853.solve(_rotation, y0, 4.0, 1e-10, "test", t_eval=ts)
-    ref = _ivp(_rotation, y0, 4.0, 1e-10, t_eval=ts)
+    ref = _ivp(_array(_rotation), y0, 4.0, 1e-10, t_eval=ts)
     np.testing.assert_array_equal(t, ts)
     assert np.max(np.abs(y - ref.y.T)) <= 1e-9
     exact = np.column_stack([np.sin(ts), np.cos(ts), np.exp(-0.5 * ts)])
@@ -86,14 +95,72 @@ def test_stacked_lanes_match_solve_ivp():
     y0 = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 2.0])
     ts = np.array([0.3, 1.1, 2.0])
     t, y = _dop853.solve(rhs, y0, 2.0, 1e-10, "test", t_eval=ts)
-    ref = _ivp(rhs, y0, 2.0, 1e-10, t_eval=ts)
+    ref = _ivp(lambda y: rhs(y, y, 0.0), y0, 2.0, 1e-10, t_eval=ts)
     assert y.shape == (3, 6)
     assert np.max(np.abs(y - ref.y.T)) <= 1e-9
     t, y = _dop853.solve(rhs, y0, 2.0, 1e-10, "test")
-    ref = _ivp(rhs, y0, 2.0, 1e-10)
+    ref = _ivp(lambda y: rhs(y, y, 0.0), y0, 2.0, 1e-10)
     assert len(t) == len(ref.t)
     assert np.max(np.abs(t - ref.t)) <= 1e-9
     assert np.max(np.abs(y - ref.y.T)) <= 1e-9
+
+
+_FORCED = FieldSpec(eta=0.3)
+_START = np.array([1.0, 1.0, -37.0])
+
+
+def test_accepted_steps_are_solve_ivps_bits():
+    """The one-state loop's 173 nodes to t = 5, the start and the accepted
+    steps, are solve_ivp's DOP853 nodes bit for bit: times and states."""
+    t, y = _dop853.solve(_FORCED._terms, _START, 5.0, 1e-10, "test")
+    ref = _ivp(_FORCED.velocity, _START, 5.0, 1e-10)
+    assert len(t) == 173
+    np.testing.assert_array_equal(t, ref.t)
+    np.testing.assert_array_equal(y, ref.y.T)
+
+
+def test_t_eval_read_is_solve_ivps_bits():
+    ts = np.linspace(0.0, 5.0, 501)
+    t, y = _dop853.solve(_FORCED._terms, _START, 5.0, 1e-10, "test",
+                         t_eval=ts)
+    ref = _ivp(_FORCED.velocity, _START, 5.0, 1e-10, t_eval=ts)
+    np.testing.assert_array_equal(t, ts)
+    np.testing.assert_array_equal(y, ref.y.T)
+
+
+def test_section_crossing_is_solve_ivps_bits():
+    """The crossing search's solve from the settled point at eta 0.04,
+    with the section's g as a terminal downward event: the crossing's time
+    and state, and every step before it, bit for bit."""
+    fld = FieldSpec(eta=0.04)
+    y0 = settle_on_attractor(fld)
+
+    def ev(t, y):
+        return _g(fld, y, fld.velocity(y))
+
+    ev.terminal, ev.direction = True, -1.0
+    t, y = _dop853.solve(fld._terms, y0, 100.0, 1e-10, "test",
+                         event=partial(_g, fld))
+    ref = _ivp(fld.velocity, y0, 100.0, 1e-10, events=[ev])
+    assert ref.status == 1
+    assert t[-1] == ref.t_events[0][0]
+    np.testing.assert_array_equal(y[-1], ref.y_events[0][0])
+    np.testing.assert_array_equal(t, ref.t)
+    np.testing.assert_array_equal(y, ref.y.T)
+
+
+def test_one_state_loop_is_the_stacked_loops_bits():
+    """One state of shape (1, 3) runs the stacked numpy loop, shape (3,)
+    the float loop: the same accepted steps and t_eval read, bit for bit."""
+    lane = partial(_stacked_stage, FieldSpec(), np.array([_FORCED.eta]))
+    ts = np.linspace(0.0, 5.0, 501)
+    for t_eval in (None, ts):
+        t1, y1 = _dop853.solve(_FORCED._terms, _START, 5.0, 1e-10, "test",
+                               t_eval=t_eval)
+        tn, yn = _dop853.solve(lane, _START[None, :], 5.0, 1e-10, "test",
+                               t_eval=t_eval)
+        np.testing.assert_array_equal(t1, tn)
+        np.testing.assert_array_equal(y1, yn)
 
 
 def test_picked_components_are_the_full_rows_bits():
@@ -114,13 +181,13 @@ def test_overflowing_field_fails_as_solve_ivp_does():
     is 0 and the step underflows at once: scipy's status -1 and message,
     raised as IntegrationError."""
     class Overflow:
-        def _stage(self, y, d, h):
-            return 1e300 * (1.0 + (y + d * h))
+        def _terms(self, y1, y2, y3):
+            return tuple(1e300 * (1.0 + v) for v in (y1, y2, y3))
 
-    y0 = np.ones(3)
+    y0, f = np.ones(3), _array(Overflow()._terms)
     with np.errstate(all="ignore"):
-        ref = solve_ivp(lambda t, y: Overflow()._stage(y, y, 0.0), (0.0, 5.0),
-                        y0, method="DOP853", rtol=1e-10, atol=1e-10)
+        ref = solve_ivp(lambda t, y: f(y), (0.0, 5.0), y0, method="DOP853",
+                        rtol=1e-10, atol=1e-10)
         assert ref.status == -1
         with pytest.raises(IntegrationError) as err:
             integrate(Overflow(), y0, 5.0)
@@ -131,8 +198,8 @@ def test_non_finite_state_raises_integration_error():
     """A constant field from near the largest float: the step grows tenfold
     with a zero error norm until y overflows to inf."""
     with np.errstate(all="ignore"), pytest.raises(IntegrationError) as err:
-        _dop853.solve(lambda y, d, h: np.ones(3), np.full(3, 1.7e308), 1e308,
-                      1e-10, "test")
+        _dop853.solve(lambda y1, y2, y3: (1.0, 1.0, 1.0), np.full(3, 1.7e308),
+                      1e308, 1e-10, "test")
     assert str(err.value) == "test: non-finite state reached"
 
 

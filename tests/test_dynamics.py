@@ -38,14 +38,9 @@ class TextbookLorenz:
     def __init__(self, zeta, gamma, beta):
         self.zeta, self.gamma, self.beta = zeta, gamma, beta
 
-    def velocity(self, x):
-        x1, x2, x3 = x
-        return np.array([self.zeta * (x2 - x1),
-                         x1 * (self.gamma - x3) - x2,
-                         x1 * x2 - self.beta * x3])
-
-    def _stage(self, x, d, h):
-        return self.velocity(x + d * h)
+    def _terms(self, x1, x2, x3):
+        return (self.zeta * (x2 - x1), x1 * (self.gamma - x3) - x2,
+                x1 * x2 - self.beta * x3)
 
 
 def test_classical_defaults(field):
@@ -177,9 +172,8 @@ def test_rk4_cross_check(field):
 def test_failed_solve_raises_integration_error():
     """A blow-up in finite time (dy/dt = y^2) fails the solve."""
     class Blowup:
-        def _stage(self, y, d, h):
-            y = y + d * h
-            return y * y
+        def _terms(self, y1, y2, y3):
+            return y1 * y1, y2 * y2, y3 * y3
 
     with pytest.raises(IntegrationError, match="integrate: Required step"):
         integrate(Blowup(), [1.0, 1.0, 1.0], 2.0)
@@ -247,12 +241,14 @@ def test_absorption_constant_closed_form():
 
 @pytest.mark.parametrize("fld", [FieldSpec(), FieldSpec(eta=0.3)])
 def test_stage_is_velocity_at_the_stage_point(fld):
-    """The solver's RHS forms y + h d in floats: bit for bit velocity's."""
+    """The one-state solver forms the stage point y + h d in floats and
+    calls _terms on it: bit for bit velocity at the point numpy forms."""
     rng = np.random.default_rng(5)
     for _ in range(500):
         y, d = rng.normal(0.0, 20.0, 3), rng.normal(0.0, 300.0, 3)
         h = rng.uniform(0.0, 0.05)
-        np.testing.assert_array_equal(fld._stage(y, d, h),
+        point = [yi + di * h for yi, di in zip(y.tolist(), d.tolist())]
+        np.testing.assert_array_equal(fld._terms(*point),
                                       fld.velocity(y + d * h))
 
 
