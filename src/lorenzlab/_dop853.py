@@ -259,9 +259,9 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
     accepted step, or at t_eval (non-decreasing, within [0, t_end]; not
     combined with an event). pick, an integer array of shape
     (len(t_eval), k), makes row i hold only the components pick[i] of the
-    state at t_eval[i], bit for bit as the full row holds them. Raises IntegrationError, prefixed by context,
-    when the step falls below ten spacings of t or a returned state is not
-    finite.
+    state at t_eval[i], bit for bit as the full row holds them. Raises
+    IntegrationError, prefixed by context, when the step falls below ten
+    spacings of t or a returned state is not finite.
     """
     rtol, atol = max(tol, 100 * EPS), tol
     y0 = np.asarray(y0, dtype=float)
