@@ -16,10 +16,12 @@ Two loops run it, and the state's shape picks one:
   components, too many for float arithmetic, run on numpy arrays, the
   field taking a base state, a direction and a step, fun(y, d, h) =
   f(y + h d).
-They share the tableau, the starting step, the step-size rule, the dense
-output and the root. Every dot product stays in numpy on the same (16, n)
-stage buffer in both loops: each stage's K[:s].T.dot(a), the B, E5 and E3
-weights, the two error norms and the event's <v, y>. OpenBLAS forms a
+They share the tableau, the starting step, the step-size rule and the
+dense output. Only the one-state loop takes an event; its root search
+evaluates the step's interpolant in floats, per component, with
+_interpolate's arithmetic. Every dot product stays in numpy on the same
+(16, n) stage buffer in both loops: each stage's K[:s].T.dot(a), the B, E5
+and E3 weights, the two error norms and the event's <v, y>. OpenBLAS forms a
 3-element dot as a sequence of fused multiply-adds, which a Python sum
 does not reproduce (Python 3.11 has no math.fma); elementwise arithmetic
 rounds the same in floats as in numpy, so neither loop moves a bit.
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
 
 EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
@@ -256,15 +258,19 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
     is y, signed zeros included). It has no event.
 
     Returns (t, y), the states in the rows of y: at t = 0 and every
-    accepted step, or at t_eval (non-decreasing, within [0, t_end]; not
-    combined with an event). pick, an integer array of shape
-    (len(t_eval), k), makes row i hold only the components pick[i] of the
-    state at t_eval[i], bit for bit as the full row holds them. Raises
-    IntegrationError, prefixed by context, when the step falls below ten
-    spacings of t or a returned state is not finite.
+    accepted step, or at t_eval (non-decreasing, within [0, t_end]).
+    pick, an integer array of shape (len(t_eval), k), makes row i hold only
+    the components pick[i] of the state at t_eval[i], bit for bit as the
+    full row holds them. Raises IntegrationError, prefixed by context, when
+    the step falls below ten spacings of t or a returned state is not
+    finite, and DomainError when an event is given with t_eval or stacked
+    lanes.
     """
     rtol, atol = max(tol, 100 * EPS), tol
     y0 = np.asarray(y0, dtype=float)
+    if event is not None and (t_eval is not None or y0.shape != (3,)):
+        raise DomainError(f"{context}: an event needs one state and no "
+                          "t_eval")
     if y0.shape == (3,):
         t_out, y_out, fired = _solve_state(fun, y0, t_end, rtol, atol,
                                            context, t_eval, event, pick)
@@ -304,10 +310,24 @@ def _solve_state(f, y0, t_end, rtol, atol, context, t_eval, event, pick):
         return _dense(stage, K_ext, y_old_a, np.array(y), np.array(f_old),
                       np.array(fy), h), y_old_a
 
+    def y_at(tq):
+        """The last step's interpolant at time tq, in floats: _interpolate's
+        arithmetic per component, on FT, its F's rows reversed, by
+        component."""
+        x = (tq - t_old) / (t - t_old)
+        w = (x, 1 - x) * 3 + (x,)
+        yq = []
+        for fc, yc in zip(FT, y_old):
+            v = 0.0  # as np.zeros, so signed zeros match
+            for fi, wi in zip(fc, w):
+                v = (v + fi) * wi
+            yq.append(v + yc)
+        return yq
+
     def g_at(tq):
-        """The event along the interpolant F of the last step."""
-        yq = _interpolate(F, y_old_a, (tq - t_old) / (t - t_old))
-        return event(yq, np.array(f(*yq.tolist())))
+        """The event along the interpolant of the last step."""
+        yq = y_at(tq)
+        return event(np.array(yq), np.array(f(*yq)))
 
     done = fired = False
     while not done:
@@ -346,10 +366,9 @@ def _solve_state(f, y0, t_end, rtol, atol, context, t_eval, event, pick):
         if event is not None:
             g_new = event(np.array(y), k12)
             if g >= 0 and g_new <= 0:
-                F, y_old_a = dense()
+                FT = dense()[0][::-1].T.tolist()
                 t_root = _brentq(g_at, t_old, t)
-                y = tuple(_interpolate(F, y_old_a, (t_root - t_old)
-                                       / (t - t_old)).tolist())
+                y = tuple(y_at(t_root))
                 t, done, fired = t_root, True, True
             g = g_new
         if t_eval is None:

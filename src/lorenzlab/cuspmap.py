@@ -484,7 +484,7 @@ def _slope(x: np.ndarray, y: np.ndarray, loglog: bool) -> ExponentEstimate:
     passes through the origin. Non-finite y (and, for loglog, y <= 0) are
     dropped, and fewer than 20 remaining points raise FitError.
     """
-    from scipy.stats import t as student_t
+    from scipy.special import stdtrit
 
     keep = np.isfinite(y) & (y > 0) if loglog else np.isfinite(y)
     x, y = x[keep], y[keep]
@@ -498,7 +498,7 @@ def _slope(x: np.ndarray, y: np.ndarray, loglog: bool) -> ExponentEstimate:
     intercept = float(y.mean() - slope * x.mean()) if loglog else 0.0
     resid = y - slope * x - intercept
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / float(np.sum(vx * vx)))
-    half = float(student_t.ppf(0.975, dof)) * se
+    half = float(stdtrit(dof, 0.975)) * se  # scipy.stats.t.ppf(0.975, dof)
     return ExponentEstimate(slope, slope - half, slope + half,
                             float(np.sqrt(np.mean(resid ** 2))))
 

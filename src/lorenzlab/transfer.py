@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .cuspmap import IntervalMap, _bin_counts, _moving_average, \
     SyntheticCuspMap, audit_assumptions, make_perturbed_family
@@ -107,6 +106,8 @@ def _hat_values(y: np.ndarray, n_bins: int) -> sparse.csr_matrix:
     hats sum to 1 on [0, 1]. Each row holds two weights; on the outer
     half-bins both sit in the end column and add up to 1.
     """
+    from scipy import sparse
+
     u = y * n_bins - 0.5
     k = np.floor(u)
     w = u - k
@@ -173,6 +174,8 @@ def build_ulam_exact(m: IntervalMap, n_bins: int) -> UlamMatrix:
     that zeroes the columns of the top bins, which this construction
     resolves.
     """
+    from scipy import sparse
+
     if n_bins < 16:
         raise DomainError("n_bins must be at least 16")
     if not isinstance(m, IntervalMap):

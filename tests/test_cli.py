@@ -268,28 +268,33 @@ def test_csv_writer_keeps_integers_exact(tmp_path):
         "eps,passed,seed\n0.10000000000000001,1,9223372036854775809\n"
 
 
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats, scipy.interpolate and scipy.ndimage are imported where
-    they are called, not with the package; scipy.optimize only by the
-    cusp-map fit, and scipy.integrate not at all."""
+def _scipy_modules(code: str) -> list[str]:
+    """The scipy modules loaded by running code in a fresh interpreter."""
     src = str(Path(lorenzlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, lorenzlab; print([m for m in ('scipy.stats', "
-            "'scipy.interpolate', 'scipy.ndimage', 'scipy.integrate', "
-            "'scipy.optimize') if m in sys.modules])")
+    code += ("; import json, sys; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out.strip().splitlines()[-1])
 
 
-def test_crossing_search_does_not_load_scipy_optimize():
-    """The crossing search roots its event with the in-repo Brent."""
-    src = str(Path(lorenzlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, lorenzlab as L; F = L.FieldSpec(); "
-            "L.next_crossing(L.SectionSpec(field=F, eps_box=25.0), "
-            "L.settle_on_attractor(F)); "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+def test_import_loads_no_scipy():
+    """scipy is imported where it is called, not with the package:
+    scipy.sparse by the transfer layer's matrix builds, scipy.interpolate,
+    scipy.optimize and scipy.special by the cusp-map fit."""
+    assert _scipy_modules("import lorenzlab") == []
+
+
+def test_ode_path_loads_no_scipy():
+    """Integration, crossing search (its root the in-repo Brent), chain
+    sampling with stored flow, the sweep and the drift audit load no scipy
+    module."""
+    code = ("import numpy as np, lorenzlab as L; F = L.FieldSpec(); "
+            "y0 = L.settle_on_attractor(F); "
+            "tr = L.sample_chain(L.NoiseLaw.uniform(0.05), "
+            "L.SectionSpec(field=F, eps_box=25.0), y0, n=20, seed=3, "
+            "keep_segments=True); "
+            "L.integrate(F, y0, 2.0, t_eval=np.linspace(0.0, 2.0, 21)); "
+            "L.lyapunov_sweep(50, field=F, seed=1); L.drift_check(tr)")
+    assert _scipy_modules(code) == []

@@ -356,3 +356,30 @@ def test_cylinder_anatomy(synth):
     assert set(info) == {"a_left0", "a_right0", "b_right1"}
     assert 0.0 < info["a_left0"] < synth.x0
     assert synth.x0 < info["a_right0"] < 1.0
+
+
+@pytest.mark.parametrize("loglog", [False, True])
+def test_slope_interval_is_student_t_ppfs(monkeypatch, loglog):
+    """The fit's 95% half-width reads scipy.special.stdtrit(dof, 0.975):
+    the same bits as scipy.stats.t.ppf(0.975, dof) times the SE."""
+    import scipy.special
+    from scipy.stats import t as student_t
+
+    from lorenzlab.cuspmap import _slope
+
+    rng = np.random.default_rng(17)
+    x = np.linspace(1e-3, 1e-2, 257)
+    y = (2.0 * x ** 1.3 if loglog else 1.7 * x) \
+        * (1.0 + 0.05 * rng.standard_normal(x.size))
+    mine = _slope(x, y, loglog)
+    dof = x.size - 2 if loglog else x.size - 1
+    quantile, calls = student_t.ppf(0.975, dof), []
+
+    def t_ppf(*args):
+        calls.append(args)
+        return quantile
+
+    monkeypatch.setattr(scipy.special, "stdtrit", t_ppf)
+    assert _slope(x, y, loglog) == mine
+    assert calls == [(dof, 0.975)]
+    assert mine.ci_low < mine.value < mine.ci_high

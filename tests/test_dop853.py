@@ -210,6 +210,19 @@ def test_integrate_rejects_bad_t_eval(t_eval):
         integrate(FieldSpec(), [1.0, 1.0, -30.0], 2.0, t_eval=t_eval)
 
 
+def test_event_with_t_eval_or_lanes_rejected():
+    """An event roots the crossing of one state's solve; with t_eval the
+    rows after the root were never written, and stacked lanes have none."""
+    fld = FieldSpec()
+    y0, g = settle_on_attractor(fld), partial(_g, fld)
+    with pytest.raises(DomainError, match="event"):
+        _dop853.solve(fld._terms, y0, 5.0, 1e-10, "test",
+                      t_eval=np.linspace(0.0, 5.0, 11), event=g)
+    with pytest.raises(DomainError, match="event"):
+        _dop853.solve(partial(_stacked_stage, fld, np.zeros(2)),
+                      np.stack([y0, y0]), 5.0, 1e-10, "test", event=g)
+
+
 def _scipy_brentq(f, a, b):
     from scipy.optimize import brentq
 
