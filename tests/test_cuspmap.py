@@ -359,7 +359,7 @@ def test_cylinder_anatomy(synth):
 
 
 @pytest.mark.parametrize("loglog", [False, True])
-def test_slope_interval_is_student_t_ppfs(monkeypatch, loglog):
+def test_slope_interval_is_student_t_ppf(monkeypatch, loglog):
     """The fit's 95% half-width reads scipy.special.stdtrit(dof, 0.975):
     the same bits as scipy.stats.t.ppf(0.975, dof) times the SE."""
     import scipy.special
