@@ -7,29 +7,29 @@ so its output is bit-identical to that call's, for what the package uses:
 an autonomous real system solved forward from t = 0, at most one event,
 whose root is scipy's brentq, ported as `_brentq`.
 
-Two loops run it, and the state's shape picks one:
+One loop runs it, on one field contract, f(y1, y2, y3) -> (v1, v2, v3),
+and the state's shape decides only how components are held:
 - one state of three components, every chain, crossing search and
-  `integrate`, runs with y, f(y), |y|, the error scale and the step sizes
-  as Python floats, calling the field as f(y1, y2, y3) -> (v1, v2, v3), so
-  a step makes 12 field calls and no numpy call for elementwise work;
+  `integrate`, holds y, |y|, the stage points and the error scale's terms
+  as Python floats, so a step makes 12 field calls and no numpy call for
+  elementwise work;
 - stacked lanes, the sweep's 500 samples as one flat vector of 1,500
-  components, too many for float arithmetic, run on numpy arrays, the
-  field taking a base state, a direction and a step, fun(y, d, h) =
-  f(y + h d).
-They share the tableau, the starting step, the step-size rule and the
-dense output. Only the one-state loop takes an event; its root search
-evaluates the step's interpolant in floats, per component, with
-_interpolate's arithmetic. Every dot product stays in numpy on the same
-(16, n) stage buffer in both loops: each stage's K[:s].T.dot(a), the B, E5
-and E3 weights, the two error norms and the event's <v, y>. OpenBLAS forms a
-3-element dot as a sequence of fused multiply-adds, which a Python sum
-does not reproduce (Python 3.11 has no math.fma); elementwise arithmetic
-rounds the same in floats as in numpy, so neither loop moves a bit.
+  components, hold each component of every lane as a strided view of it,
+  y[0::3], y[1::3], y[2::3], so the same arithmetic runs on arrays.
+Only one state takes an event; its root search evaluates the step's
+interpolant in floats, per component, with _interpolate's arithmetic.
+Every dot product stays in numpy on the (16, n) stage buffer: each stage's
+K[:s].T.dot(a), the B, E5 and E3 weights, the two error norms and the
+event's <v, y>. OpenBLAS forms a 3-element dot as a sequence of fused
+multiply-adds, which a Python sum does not reproduce (Python 3.11 has no
+math.fma); elementwise arithmetic rounds the same in floats as in numpy,
+so neither form of state moves a bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -153,19 +153,6 @@ def _control(KT, scale, err5, err3, h_abs, rejected):
     return h_abs * max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT), False
 
 
-def _dense(stage, K_ext, y_old, y, f_old, f, h):
-    """The last step's 7-power interpolant (scipy's Dop853DenseOutput), its
-    three extra stages written to K_ext[13:16]."""
-    for s in (13, 14, 15):
-        K_ext[s] = stage(y_old, K_ext[:s].T.dot(_A[s, :s]), h)
-    F = np.empty((7, y.size))
-    F[0] = delta_y = y - y_old
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * _D.dot(K_ext)
-    return F
-
-
 def _interpolate(F, y_old, x):
     """The step's dense output at fractions x (a scalar, or a column),
     elementwise in the state's components, so F and y_old may hold a row
@@ -178,24 +165,9 @@ def _interpolate(F, y_old, x):
     return y
 
 
-def _rows(t_eval, pick, n):
-    """The output rows at t_eval: whole states of n components, or the
-    components pick[i] at t_eval[i]."""
-    if pick is None:
-        pick = np.broadcast_to(np.arange(n), (len(t_eval), n))
-    return np.asarray(t_eval), pick, np.empty(pick.shape)
-
-
-def _read(ys, t_eval, pick, i_eval, t_old, t, dense):
-    """Fill the rows of ys whose times lie in the step (t_old, t] from its
-    interpolant, dense() -> (F, y_old); return the next row to fill."""
-    i_new = np.searchsorted(t_eval, t, side="right")
-    if i_new > i_eval:
-        F, y_old = dense()
-        x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
-        c = pick[i_eval:i_new]
-        ys[i_eval:i_new] = _interpolate(F[:, c], y_old[c], x[:, None])
-    return i_new
+def _fmax(a, b):
+    """np.maximum of two floats: the larger, or nan when either is."""
+    return a if a >= b or a != a else b
 
 
 def _brentq(f, xpre: float, xcur: float) -> float:
@@ -241,23 +213,21 @@ def _brentq(f, xpre: float, xcur: float) -> float:
     raise RuntimeError("Failed to converge after 100 iterations")
 
 
-def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
+def solve(f, y0, t_end: float, tol: float, context: str, t_eval=None,
           event=None, pick=None):
     """The package's one ODE solve: dy/dt = f(y) from t = 0 to t_end > 0,
-    rtol = atol = tol. The state's shape picks the loop.
+    rtol = atol = tol, the field called as f(y1, y2, y3) -> (v1, v2, v3).
 
-    One state, y0 of shape (3,), runs in Python floats: fun(y1, y2, y3)
-    returns the three components of f. event(y, v), a scalar function of
-    a state y and its field v = f(y) (both arrays), stops the solve where
-    it falls through zero, the last row being the root on the step's
-    interpolant; the solve returns None when it does not fall by t_end.
+    y0 of shape (3,) is one state, whose components are Python floats. Any
+    other shape is stacked lanes of three components, solved as one flat
+    vector; f gets each component of every lane as a strided view of it,
+    y[0::3], y[1::3], y[2::3], and returns three arrays. event(y, v), a
+    scalar function of one state y and its field v = f(y) (both arrays),
+    stops the solve where it falls through zero, the last row being the
+    root on the step's interpolant; the solve returns None when it does not
+    fall by t_end.
 
-    Stacked lanes, y0 of any other shape, run in numpy as one flat vector
-    of n components: fun(y, d, h) returns f at the point y + h d, formed
-    as y + d * h, and is called as fun(y, y, 0.0) for f(y) itself (y + 0 y
-    is y, signed zeros included). It has no event.
-
-    Returns (t, y), the states in the rows of y: at t = 0 and every
+    Returns (t, y), the flat states in the rows of y: at t = 0 and every
     accepted step, or at t_eval (non-decreasing, within [0, t_end]).
     pick, an integer array of shape (len(t_eval), k), makes row i hold only
     the components pick[i] of the state at t_eval[i], bit for bit as the
@@ -271,44 +241,54 @@ def solve(fun, y0, t_end: float, tol: float, context: str, t_eval=None,
     if event is not None and (t_eval is not None or y0.shape != (3,)):
         raise DomainError(f"{context}: an event needs one state and no "
                           "t_eval")
+    # What the shape decides: how a vector splits into the three components
+    # f takes, where a row of K_ext holds each, and the error scale's max.
     if y0.shape == (3,):
-        t_out, y_out, fired = _solve_state(fun, y0, t_end, rtol, atol,
-                                           context, t_eval, event, pick)
+        split, ix, vmax = np.ndarray.tolist, (0, 1, 2), _fmax
     else:
-        t_out, y_out = _solve_lanes(fun, y0.ravel(), t_end, rtol, atol,
-                                    context, t_eval, pick)
-    if not np.all(np.isfinite(y_out)):
-        raise IntegrationError(f"{context}: non-finite state reached")
-    return None if event is not None and not fired else (t_out, y_out)
+        ix = (slice(0, None, 3), slice(1, None, 3), slice(2, None, 3))
+        split, vmax = operator.itemgetter(*ix), np.maximum
+    i1, i2, i3 = ix
+    y0 = y0.ravel()
+    n = y0.size
 
+    def stage(y, d, h):
+        """f at the point y + h d, as a flat array."""
+        k = np.empty(n)
+        k[i1], k[i2], k[i3] = f(*split(y + d * h))
+        return k
 
-def _solve_state(f, y0, t_end, rtol, atol, context, t_eval, event, pick):
-    """The loop for one state (solve): y, f(y), |y|, the scale and the
-    step sizes in Python floats, each stage row K_ext[s] = f at the stage
-    point formed in floats from the stage's numpy dot."""
-    def stage(y, d, h):  # f at y + h d for the shared steps, as an array
-        return np.array(f(*(y + d * h).tolist()))
-
-    y = tuple(y0.tolist())
-    fy = f(*y)
-    h_abs = _initial_step(stage, y0, t_end, np.array(fy), rtol, atol)
-    K_ext, d = np.empty((16, 3)), np.empty(3)
+    K_ext, d = np.empty((16, n)), np.empty(n)
     KT, K12T, k12 = K_ext[:13].T, K_ext[:12].T, K_ext[12]
     stages = [(K_ext[s], K_ext[:s].T, _A[s, :s]) for s in range(1, 12)]
-    scale, err5, err3 = np.empty((3, 3))
+    scale, err5, err3 = np.empty((3, n))
+    y = split(y0)
+    k12[i1], k12[i2], k12[i3] = f(*y)  # f(y0), K_ext[0] in the first step
+    h_abs = _initial_step(stage, y0, t_end, k12, rtol, atol)
     a1, a2, a3 = map(abs, y)
     t = 0.0
     if t_eval is None:
         ts, ys = [t], [y]
     else:
-        (t_eval, pick, ys), i_eval = _rows(t_eval, pick, 3), 0
-    g = None if event is None else event(y0, np.array(fy))
+        t_eval, i_eval = np.asarray(t_eval), 0
+        if pick is None:
+            pick = np.broadcast_to(np.arange(n), (len(t_eval), n))
+        ys = np.empty(pick.shape)
+    g = None if event is None else event(y0, k12)
 
     def dense():
-        """The last step's interpolant F, and its start as an array."""
-        y_old_a = np.array(y_old)
-        return _dense(stage, K_ext, y_old_a, np.array(y), np.array(f_old),
-                      np.array(fy), h), y_old_a
+        """The last step's 7-power interpolant F (scipy's Dop853DenseOutput),
+        its three extra stages written to K_ext[13:16], and its start as a
+        flat array; f at its ends is K_ext[0] and K_ext[12]."""
+        y_new, y_old_a = (np.array(v).T.ravel() for v in (y, y_old))
+        for s in (13, 14, 15):
+            K_ext[s] = stage(y_old_a, K_ext[:s].T.dot(_A[s, :s]), h)
+        F = np.empty((7, n))
+        F[0] = delta_y = y_new - y_old_a
+        F[1] = h * K_ext[0] - delta_y
+        F[2] = 2 * delta_y - h * (k12 + K_ext[0])
+        F[3:] = h * _D.dot(K_ext)
+        return F, y_old_a
 
     def y_at(tq):
         """The last step's interpolant at time tq, in floats: _interpolate's
@@ -336,7 +316,7 @@ def _solve_state(f, y0, t_end, rtol, atol, context, t_eval, event, pick):
         h_abs = max(h_abs, min_step)
         rejected = False
         y1, y2, y3 = y
-        K_ext[0] = fy
+        K_ext[0] = k12
         while True:
             if h_abs < min_step:
                 raise IntegrationError(f"{context}: {_TOO_SMALL}")
@@ -344,24 +324,22 @@ def _solve_state(f, y0, t_end, rtol, atol, context, t_eval, event, pick):
             h = t_new - t
             h_abs = abs(h)
             for k, KsT, a in stages:  # k: the stage's row of K_ext
-                d1, d2, d3 = KsT.dot(a, out=d).tolist()
-                k[0], k[1], k[2] = f(y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
-            d1, d2, d3 = K12T.dot(_B, out=d).tolist()
+                d1, d2, d3 = split(KsT.dot(a, out=d))
+                k[i1], k[i2], k[i3] = f(y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
+            d1, d2, d3 = split(K12T.dot(_B, out=d))
             n1, n2, n3 = y1 + h * d1, y2 + h * d2, y3 + h * d3
-            k12[0], k12[1], k12[2] = f_new = f(n1, n2, n3)
+            k12[i1], k12[i2], k12[i3] = f(n1, n2, n3)
             b1, b2, b3 = abs(n1), abs(n2), abs(n3)
-            # np.maximum's: the larger, or nan when either is
-            scale[0], scale[1], scale[2] = (
-                (a1 if a1 >= b1 or a1 != a1 else b1) * rtol + atol,
-                (a2 if a2 >= b2 or a2 != a2 else b2) * rtol + atol,
-                (a3 if a3 >= b3 or a3 != a3 else b3) * rtol + atol)
+            scale[i1], scale[i2], scale[i3] = (vmax(a1, b1) * rtol + atol,
+                                               vmax(a2, b2) * rtol + atol,
+                                               vmax(a3, b3) * rtol + atol)
             h_abs, accepted = _control(KT, scale, err5, err3, h_abs,
                                        rejected)
             if accepted:
                 break
             rejected = True
-        t_old, y_old, f_old = t, y, fy
-        t, y, fy, a1, a2, a3 = t_new, (n1, n2, n3), f_new, b1, b2, b3
+        t_old, y_old = t, y
+        t, y, a1, a2, a3 = t_new, (n1, n2, n3), b1, b2, b3
         done = t - t_end >= 0
         if event is not None:
             g_new = event(np.array(y), k12)
@@ -374,62 +352,17 @@ def _solve_state(f, y0, t_end, rtol, atol, context, t_eval, event, pick):
         if t_eval is None:
             ts.append(t)
             ys.append(y)
-        else:
-            i_eval = _read(ys, t_eval, pick, i_eval, t_old, t, dense)
-    if t_eval is None:
-        return np.array(ts), np.array(ys), fired
-    return t_eval, ys, fired
-
-
-def _solve_lanes(fun, y, t_end, rtol, atol, context, t_eval, pick):
-    """The loop for stacked lanes (solve), on numpy arrays of n
-    components."""
-    n = y.size
-    f = fun(y, y, 0.0)
-    h_abs = _initial_step(fun, y, t_end, f, rtol, atol)
-    K_ext = np.empty((16, n))
-    KT, K12T = K_ext[:13].T, K_ext[:12].T
-    stages = [(s, K_ext[:s].T, _A[s, :s]) for s in range(1, 12)]
-    abs_y, (scale, err5, err3) = np.abs(y), np.empty((3, n))
-    t = 0.0
-    if t_eval is None:
-        ts, ys = [t], [y]
-    else:
-        (t_eval, pick, ys), i_eval = _rows(t_eval, pick, n), 0
-    done = False
-    while not done:
-        # One accepted step (scipy's RungeKutta._step_impl and rk_step).
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(f"{context}: {_TOO_SMALL}")
-            t_new = t_end if t + h_abs - t_end > 0 else t + h_abs
-            h = t_new - t
-            h_abs = abs(h)
-            K_ext[0] = f
-            for s, KsT, a in stages:
-                K_ext[s] = fun(y, KsT.dot(a), h)
-            d = K12T.dot(_B)
-            y_new = y + h * d
-            K_ext[12] = f_new = fun(y, d, h)
-            abs_new = np.abs(y_new)
-            np.maximum(abs_y, abs_new, out=scale)
-            scale *= rtol
-            scale += atol
-            h_abs, accepted = _control(KT, scale, err5, err3, h_abs,
-                                       rejected)
-            if accepted:
-                break
-            rejected = True
-        t_old, y_old, f_old = t, y, f
-        t, y, f, abs_y = t_new, y_new, f_new, abs_new
-        done = t - t_end >= 0
-        if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-        else:
-            i_eval = _read(ys, t_eval, pick, i_eval, t_old, t, lambda: (
-                _dense(fun, K_ext, y_old, y, f_old, f, h), y_old))
-    return (np.array(ts), np.array(ys)) if t_eval is None else (t_eval, ys)
+            continue
+        i_new = np.searchsorted(t_eval, t, side="right")
+        if i_new > i_eval:  # rows whose times lie in the step (t_old, t]
+            F, y_old_a = dense()
+            x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
+            c = pick[i_eval:i_new]
+            ys[i_eval:i_new] = _interpolate(F[:, c], y_old_a[c], x[:, None])
+            i_eval = i_new
+    if t_eval is None:  # rows of (component, lane) made flat, lane by lane
+        t_eval = np.array(ts)
+        ys = np.array(ys).swapaxes(1, -1).reshape(len(ts), n)
+    if not np.all(np.isfinite(ys)):
+        raise IntegrationError(f"{context}: non-finite state reached")
+    return None if event is not None and not fired else (t_eval, ys)

@@ -21,13 +21,13 @@ exponential absorption estimate, with m = min(1, zeta, beta),
 checked over random starts, horizons and amplitudes by `lyapunov_sweep`.
 
 Every solve goes through `_dop853.solve`, the in-repo DOP853 with one
-error path, and the state's shape picks its loop. One state (`integrate`,
-and every crossing search in `section`) runs in Python floats on
-`FieldSpec._terms(y1, y2, y3)`, the one field formula; the sweep's stacked
-lanes run in numpy on `_stacked_stage`, the field at y + h d through
-`velocity_batch`. Every dot product of the solver stays in numpy, where
-BLAS contracts it to fused multiply-adds that a Python sum does not
-reproduce, so both loops give scipy's DOP853 bit for bit.
+loop and one error path, which calls `FieldSpec._terms(y1, y2, y3)`, the
+one field formula. One state (`integrate`, and every crossing search in
+`section`) passes Python floats; the sweep's stacked lanes pass each
+component of every lane as an array, with an array eta forcing each lane
+at its own amplitude. Every dot product of the solver stays in numpy,
+where BLAS contracts it to fused multiply-adds that a Python sum does not
+reproduce, so both forms of state give scipy's DOP853 bit for bit.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class FieldSpec:
 
     def _terms(self, y1, y2, y3, eta=None):
         """The velocity's three components at (y1, y2, y3), forced at eta
-        (self.eta by default): Python floats for one state, as the
-        one-state solver calls it, or arrays for a stack, where an array
-        eta forces each lane at its own amplitude."""
+        (self.eta by default): Python floats for one state, or arrays for
+        stacked lanes, where an array eta forces each lane at its own
+        amplitude; the solver calls it in both forms."""
         z, b = self.zeta, self.beta
         return (z * (y2 - y1), -y1 * y3 + self._c2 * y1 - y2,
                 y1 * y2 - b * y3 + self._c3
@@ -165,8 +165,8 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
     The solver reads the field through field._terms(y1, y2, y3).
     """
     y0 = as_state(y0)
-    if not (t_end > 0.0):
-        raise DomainError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0.0) \
@@ -198,13 +198,6 @@ class SweepReport:
     worst: dict
 
 
-def _stacked_stage(field: FieldSpec, etas, flat, d, h) -> np.ndarray:
-    """The sweep's stacked RHS: the field at flat + h d, lane k of three
-    coordinates forced at etas[k]; the point formed with numpy."""
-    return field.velocity_batch((flat + d * h).reshape(-1, 3),
-                                eta=etas).ravel()
-
-
 def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
                    seed: int = 0) -> SweepReport:
     """Monte Carlo check of the absorption estimate over random (y0, t, eta).
@@ -234,9 +227,9 @@ def lyapunov_sweep(n_samples: int, field: FieldSpec | None = None,
         etas = _SWEEP_ETA_MAX * (2.0 * rng.random(n) - 1.0)
 
         # each sample's three components at its own horizon, in time order;
-        # y0 of shape (n, 3) runs the solver's stacked loop, even at n = 1
+        # y0 of shape (n, 3) solves stacked lanes, even at n = 1
         order = np.argsort(ts)
-        _, y = _dop853.solve(partial(_stacked_stage, base, etas), y0,
+        _, y = _dop853.solve(partial(base._terms, eta=etas), y0,
                              _SWEEP_T_MAX, _TOL, "lyapunov_sweep",
                              t_eval=ts[order],
                              pick=3 * order[:, None] + np.arange(3))

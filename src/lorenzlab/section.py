@@ -63,8 +63,8 @@ class SectionSpec:
     def __post_init__(self):
         if not (self.eps_box > 0 and math.isfinite(self.eps_box)):
             raise DomainError("eps_box must be positive and finite")
-        if self.t_max <= 0:
-            raise DomainError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise DomainError("t_max must be positive and finite")
 
     def contains(self, y) -> bool:
         """Membership in the box M_eps."""

@@ -1,6 +1,6 @@
-"""The in-repo DOP853 loops, one state in floats and stacked lanes in numpy:
-their tableau, with scipy's solve_ivp and brentq as oracles, and with each
-other."""
+"""The in-repo DOP853 loop, on one state in floats and on stacked lanes in
+numpy: its tableau, with scipy's solve_ivp and brentq as oracles, and the
+two forms of state against each other."""
 
 import math
 from functools import partial
@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 
 from lorenzlab import (FieldSpec, NoiseLaw, SectionSpec, _dop853, integrate,
                        sample_chain, settle_on_attractor)
-from lorenzlab.dynamics import _stacked_stage
 from lorenzlab.errors import DomainError, IntegrationError
 from lorenzlab.section import _g
 
@@ -84,25 +83,28 @@ def test_t_eval_read_matches_solve_ivp():
 
 
 def test_stacked_lanes_match_solve_ivp():
-    """Two lanes in one state vector, each with its own rotation rate."""
-    rates = np.array([1.0, 2.5])
+    """R lanes in one flat state vector, lane k forced at its own eta[k]:
+    the accepted steps and a read at sorted t_eval are solve_ivp's DOP853
+    on the flat system, bit for bit, at R = 2, 7, 64 and 500."""
+    rng = np.random.default_rng(8)
+    fld = FieldSpec()
+    for n_lanes in (2, 7, 64, 500):
+        etas = rng.uniform(-1.0, 1.0, n_lanes)
+        y0 = rng.normal(0.0, 15.0, (n_lanes, 3))
+        ts = np.sort(rng.uniform(0.0, 2.0, 40))
+        lanes = partial(fld._terms, eta=etas)
 
-    def rhs(flat, d, h):
-        y = (flat + d * h).reshape(2, 3)
-        return np.column_stack([rates * y[:, 1], -rates * y[:, 0],
-                                -0.5 * y[:, 2]]).ravel()
+        def flat(y):
+            return fld.velocity_batch(y.reshape(-1, 3), eta=etas).ravel()
 
-    y0 = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 2.0])
-    ts = np.array([0.3, 1.1, 2.0])
-    t, y = _dop853.solve(rhs, y0, 2.0, 1e-10, "test", t_eval=ts)
-    ref = _ivp(lambda y: rhs(y, y, 0.0), y0, 2.0, 1e-10, t_eval=ts)
-    assert y.shape == (3, 6)
-    assert np.max(np.abs(y - ref.y.T)) <= 1e-9
-    t, y = _dop853.solve(rhs, y0, 2.0, 1e-10, "test")
-    ref = _ivp(lambda y: rhs(y, y, 0.0), y0, 2.0, 1e-10)
-    assert len(t) == len(ref.t)
-    assert np.max(np.abs(t - ref.t)) <= 1e-9
-    assert np.max(np.abs(y - ref.y.T)) <= 1e-9
+        t, y = _dop853.solve(lanes, y0, 2.0, 1e-10, "test", t_eval=ts)
+        ref = _ivp(flat, y0.ravel(), 2.0, 1e-10, t_eval=ts)
+        assert y.shape == (40, 3 * n_lanes)
+        np.testing.assert_array_equal(y, ref.y.T)
+        t, y = _dop853.solve(lanes, y0, 2.0, 1e-10, "test")
+        ref = _ivp(flat, y0.ravel(), 2.0, 1e-10)
+        np.testing.assert_array_equal(t, ref.t)
+        np.testing.assert_array_equal(y, ref.y.T)
 
 
 _FORCED = FieldSpec(eta=0.3)
@@ -150,9 +152,10 @@ def test_section_crossing_is_solve_ivps_bits():
 
 
 def test_one_state_loop_is_the_stacked_loops_bits():
-    """One state of shape (1, 3) runs the stacked numpy loop, shape (3,)
-    the float loop: the same accepted steps and t_eval read, bit for bit."""
-    lane = partial(_stacked_stage, FieldSpec(), np.array([_FORCED.eta]))
+    """One state of shape (1, 3) runs the loop as a lane of numpy arrays,
+    shape (3,) in floats: the same accepted steps and t_eval read, bit for
+    bit."""
+    lane = partial(FieldSpec()._terms, eta=np.array([_FORCED.eta]))
     ts = np.linspace(0.0, 5.0, 501)
     for t_eval in (None, ts):
         t1, y1 = _dop853.solve(_FORCED._terms, _START, 5.0, 1e-10, "test",
@@ -219,7 +222,7 @@ def test_event_with_t_eval_or_lanes_rejected():
         _dop853.solve(fld._terms, y0, 5.0, 1e-10, "test",
                       t_eval=np.linspace(0.0, 5.0, 11), event=g)
     with pytest.raises(DomainError, match="event"):
-        _dop853.solve(partial(_stacked_stage, fld, np.zeros(2)),
+        _dop853.solve(partial(fld._terms, eta=np.zeros(2)),
                       np.stack([y0, y0]), 5.0, 1e-10, "test", event=g)
 
 

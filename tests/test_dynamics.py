@@ -7,12 +7,13 @@ import pytest
 
 from lorenzlab import (
     FieldSpec,
+    _dop853,
     casimir,
     integrate,
     lyapunov_sweep,
 )
-from lorenzlab.dynamics import (Trajectory, _stacked_stage,
-                                 absorption_constant, absorption_rate)
+from lorenzlab.dynamics import (Trajectory, absorption_constant,
+                                 absorption_rate)
 from lorenzlab.errors import DomainError, IntegrationError
 from lorenzlab.section import surface_derivatives
 
@@ -179,6 +180,16 @@ def test_failed_solve_raises_integration_error():
         integrate(Blowup(), [1.0, 1.0, 1.0], 2.0)
 
 
+def test_infinite_horizon_rejected_before_solving(monkeypatch):
+    """t_end = inf stepped forever; it is refused before any solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(_dop853, "solve", no_solve)
+    with pytest.raises(DomainError, match="t_end must be positive and finite"):
+        integrate(FieldSpec(), [1.0, 1.0, -30.0], float("inf"))
+
+
 def test_trajectory_csv_round_trip(tmp_path, field):
     traj = integrate(field, [1.0, 1.0, -30.0], 1.0,
                      t_eval=np.linspace(0.0, 1.0, 11))
@@ -253,14 +264,17 @@ def test_stage_is_velocity_at_the_stage_point(fld):
 
 
 def test_sweep_stage_is_velocity_lane_by_lane():
-    """The sweep's stacked RHS, lane k forced at etas[k], is bit for bit
-    each lane's own velocity at its stage point."""
+    """The sweep's RHS, _terms on the stacked stage point's strided
+    components with lane k forced at etas[k], is bit for bit each lane's
+    own velocity at its stage point."""
     rng = np.random.default_rng(6)
     base, n = FieldSpec(), 200
     etas = rng.uniform(-1.0, 1.0, n)
     y, d = rng.normal(0.0, 20.0, 3 * n), rng.normal(0.0, 300.0, 3 * n)
     h = 0.0123
-    out = _stacked_stage(base, etas, y, d, h).reshape(n, 3)
+    point = y + d * h
+    out = np.column_stack(base._terms(point[0::3], point[1::3], point[2::3],
+                                      eta=etas))
     for k in range(n):
         lane = slice(3 * k, 3 * k + 3)
         np.testing.assert_array_equal(

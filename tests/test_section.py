@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from lorenzlab import (
     HorizonExceeded,
     SectionSpec,
+    _dop853,
     casimir,
     integrate,
     next_crossing,
@@ -164,6 +165,24 @@ def continuity_defect(trace) -> float:
                                    - _x_next(trace)))))
 
 
+@pytest.mark.parametrize("law", [NoiseLaw.delta_zero(),
+                                 NoiseLaw.uniform(0.05)],
+                         ids=["delta_zero", "uniform"])
+def test_mirrored_start_gives_the_mirrored_chain(section, x_on_section, law):
+    """The mirror (y1, y2, y3) -> (-y1, -y2, y3) maps the forced field, the
+    surface g and the box to themselves, and negation is exact in floating
+    point, inside BLAS's fused dots too: from the mirrored start the chain
+    has the mirrored states and stored flow and the same sojourns, Casimir
+    values and flow times, bit for bit."""
+    mirror = np.array([-1.0, -1.0, 1.0])
+    tr, tm = (sample_chain(law, section, x, n=300, seed=2, keep_segments=True)
+              for x in (x_on_section, x_on_section * mirror))
+    np.testing.assert_array_equal(tm.x, tr.x * mirror)
+    np.testing.assert_array_equal(tm.flow_y, tr.flow_y * mirror)
+    for name in ("tau", "casimir", "flow_t"):
+        np.testing.assert_array_equal(getattr(tm, name), getattr(tr, name))
+
+
 def test_continuity_defect_small(chain_short):
     assert continuity_defect(chain_short) < 1e-7
 
@@ -205,6 +224,20 @@ def test_failed_search_attaches_partial_trace(field, x_on_section):
     assert not partial.valid
     assert 0 < len(partial.tau) < 30
     assert np.all(partial.tau < 0.7)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf])
+def test_unbounded_horizon_rejected_before_solving(field, monkeypatch,
+                                                   t_max):
+    """With t_max nan or inf, a search that meets no in-box crossing (here
+    in a box of half-width 1e-9) looped forever; the section is refused
+    before any solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(_dop853, "solve", no_solve)
+    with pytest.raises(DomainError, match="t_max must be positive and finite"):
+        SectionSpec(field, 1e-9, t_max=t_max)
 
 
 def test_failed_approach_attaches_partial_trace(field, y_start):
