@@ -108,21 +108,11 @@ class FieldSpec:
         # Python floats round exactly like numpy scalars and cost less.
         return np.array(self._terms(*np.asarray(y).tolist()))
 
-    def velocity_batch(self, ys: np.ndarray, eta=None) -> np.ndarray:
-        """Vectorized velocity for states of shape (..., 3).
-
-        `eta` may be an array that broadcasts to the shape of ys[..., 0],
-        to give each sample its own forcing amplitude (used by the ensemble
-        sweep).
-        """
-        return np.stack(self._terms(ys[..., 0], ys[..., 1], ys[..., 2], eta),
-                        axis=-1)
-
     def jacobian_times(self, ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """J(y) v for stacks of states and vectors of shape (..., 3).
 
-        The field is quadratic, so this is one array expression; with
-        vs = velocity_batch(ys) it is the acceleration along the flow.
+        The field is quadratic, so this is one array expression; with vs
+        the stacked velocities of ys, it is the acceleration along the flow.
         """
         y1, y2, y3 = ys[..., 0], ys[..., 1], ys[..., 2]
         v1, v2, v3 = vs[..., 0], vs[..., 1], vs[..., 2]
@@ -169,8 +159,8 @@ def integrate(field, y0, t_end: float, tol: float = _TOL,
         raise DomainError("t_end must be positive and finite")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0.0) \
-                or np.any(t_eval < 0.0) or np.any(t_eval > t_end):
+        if t_eval.ndim != 1 or not np.all(np.diff(t_eval) > 0.0) \
+                or not np.all((0.0 <= t_eval) & (t_eval <= t_end)):
             raise DomainError("t_eval must increase within [0, t_end]")
     t, y = _dop853.solve(field._terms, y0, float(t_end), tol, "integrate",
                          t_eval=t_eval)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import absorption_constant, absorption_rate, as_state, \
-    integrate
+    casimir, integrate
 from .errors import DomainError
 from .noise import NoiseLaw
 from .section import (
@@ -115,7 +115,7 @@ class PdmpTrajectory:
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         return self._ts, self.trace.flow_y
 
-    def time_average(self, f) -> "TimeAverage":
+    def time_average(self, f) -> "Estimate":
         """Trapezoidal time average of f up to t_final, with batch-means SE."""
         cum = np.concatenate(
             [[0.0], np.cumsum(_trapezoid_terms(f, *self.grid()))])
@@ -125,20 +125,15 @@ class PdmpTrajectory:
         batch_means = np.diff(cum_at) / widths
         value = float(cum_at[-1]) / self.t_final
         se = float(np.std(batch_means, ddof=1)) / math.sqrt(_N_BATCHES)
-        return TimeAverage(value=value, se=se)
+        return Estimate(value=value, se=se)
 
 
 @dataclass(frozen=True)
-class TimeAverage:
+class Estimate:
+    """A stationary average and its batch-means standard error."""
+
     value: float
     se: float
-
-
-@dataclass(frozen=True)
-class RatioEstimate:
-    value: float
-    se: float
-    n_used: int
 
 
 def _roofs(trace: MarkovRenewalTrace, start: int) -> np.ndarray:
@@ -147,6 +142,8 @@ def _roofs(trace: MarkovRenewalTrace, start: int) -> np.ndarray:
 
 
 def _n_used(trace: MarkovRenewalTrace, burn_in: int) -> int:
+    if burn_in < 0:
+        raise DomainError(f"burn_in must be >= 0, got {burn_in}")
     n_used = len(trace) - burn_in
     if trace.flow_t is None or n_used < _MIN_USED:
         raise DomainError(
@@ -156,7 +153,7 @@ def _n_used(trace: MarkovRenewalTrace, burn_in: int) -> int:
 
 
 def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
-                           burn_in: int = _DEFAULT_BURN_IN) -> RatioEstimate:
+                           burn_in: int = _DEFAULT_BURN_IN) -> Estimate:
     """Sojourn-weighted chain estimator of the stationary functional.
 
     Numerator: mean over transitions of the trapezoid integral of f along
@@ -174,7 +171,7 @@ def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
     ratios = np.array([np.mean(ints[a:b]) / np.mean(roofs[a:b])
                        for a, b in zip(cuts[:-1], cuts[1:])])
     se = float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
-    return RatioEstimate(value=num / den, se=se, n_used=n_used)
+    return Estimate(value=num / den, se=se)
 
 
 def lifted_measure_probe(trace: MarkovRenewalTrace, f,
@@ -231,8 +228,7 @@ def drift_check(trace: MarkovRenewalTrace) -> DriftReport:
     k_bar = (1.0 - a_eps) + k_eps * (1.0 + a_eps)
 
     c_cur = trace.casimir
-    x_next = np.vstack([trace.x[1:], trace.x_end])
-    c_next = np.einsum("ij,ij->i", x_next, x_next)
+    c_next = np.append(trace.casimir[1:], casimir(trace.x_end))
     tol_abs = _DRIFT_SLACK * (1.0 + c_cur)
     strong = c_next > a_eps * c_cur + k_eps * (1.0 + a_eps) + tol_abs
     weak = (1.0 + c_next) > a_eps * (1.0 + c_cur) + k_bar + tol_abs

@@ -188,7 +188,7 @@ def _sample_segment(fld: FieldSpec, nodes: list, tau: float, y_start,
     y = np.concatenate([w[1] for w in nodes])
     step = np.append(np.diff(t) > 0.0, True)
     t, y = t[step], y[step]
-    v = fld.velocity_batch(y)
+    v = np.stack(fld._terms(*y.T), axis=-1)
     a = fld.jacobian_times(y, v)
     n = max(1, int(math.ceil(tau / _GRID_STEP)))
     ts = np.linspace(0.0, tau, n + 1)

@@ -95,7 +95,7 @@ def test_stacked_lanes_match_solve_ivp():
         lanes = partial(fld._terms, eta=etas)
 
         def flat(y):
-            return fld.velocity_batch(y.reshape(-1, 3), eta=etas).ravel()
+            return np.stack(lanes(*y.reshape(-1, 3).T), axis=-1).ravel()
 
         t, y = _dop853.solve(lanes, y0, 2.0, 1e-10, "test", t_eval=ts)
         ref = _ivp(flat, y0.ravel(), 2.0, 1e-10, t_eval=ts)
@@ -207,7 +207,8 @@ def test_non_finite_state_raises_integration_error():
 
 
 @pytest.mark.parametrize("t_eval", [[0.5, 0.2], [-0.1, 0.5], [0.5, 2.5],
-                                    [[0.5]]])
+                                    [[0.5]], [0.0, math.nan, 0.5],
+                                    [math.nan], [0.5, math.nan]])
 def test_integrate_rejects_bad_t_eval(t_eval):
     with pytest.raises(DomainError, match="t_eval"):
         integrate(FieldSpec(), [1.0, 1.0, -30.0], 2.0, t_eval=t_eval)

@@ -33,6 +33,12 @@ def integrate_rk4(field, y0, t_end: float, n_steps: int) -> Trajectory:
     return Trajectory(t=h * np.arange(n_steps + 1), y=ys)
 
 
+def stacked_velocity(fld, ys, eta=None) -> np.ndarray:
+    """Velocities of states of shape (k, 3): _terms on the columns, the
+    form the stored flow's Hermite resample evaluates its nodes in."""
+    return np.stack(fld._terms(*ys.T, eta=eta), axis=-1)
+
+
 class TextbookLorenz:
     """Lorenz'63 in its textbook coordinates x, written out independently."""
 
@@ -80,9 +86,9 @@ def test_jacobian_matches_finite_differences():
     ys = np.random.default_rng(4).normal(scale=20.0, size=(50, 3))
     h = 1e-4
     basis = [np.broadcast_to(e, ys.shape) for e in np.eye(3)]
-    for vs in [*basis, fld.velocity_batch(ys)]:
-        fd = (fld.velocity_batch(ys + h * vs)
-              - fld.velocity_batch(ys - h * vs)) / (2.0 * h)
+    for vs in [*basis, stacked_velocity(fld, ys)]:
+        fd = (stacked_velocity(fld, ys + h * vs)
+              - stacked_velocity(fld, ys - h * vs)) / (2.0 * h)
         np.testing.assert_allclose(fld.jacobian_times(ys, vs), fd,
                                    rtol=1e-8, atol=1e-7)
 
@@ -93,7 +99,7 @@ def test_jacobian_times_is_jacobian_product():
     constant forcing does not enter it)."""
     fld = FieldSpec(eta=0.3)
     ys = np.random.default_rng(4).normal(scale=20.0, size=(50, 3))
-    acc = fld.jacobian_times(ys, fld.velocity_batch(ys))
+    acc = fld.jacobian_times(ys, stacked_velocity(fld, ys))
     z, b = fld.zeta, fld.beta
     for y, a in zip(ys, acc):
         y1, y2, y3 = y
@@ -104,22 +110,48 @@ def test_jacobian_times_is_jacobian_product():
                                    rtol=1e-13, atol=1e-10)
 
 
-def test_velocity_batch_matches_velocity():
-    """The scalar RHS and the batched one round identically, for the
-    classical field and one with zeta 0.5, forced at eta 0.3."""
+def test_stacked_terms_match_velocity():
+    """_terms on the columns of stacked states, at the field's own eta or
+    an array of them, rounds as the one-state velocity, for the classical
+    field and one with zeta 0.5, forced at eta 0.3."""
     rng = np.random.default_rng(7)
     ys = rng.normal(scale=20.0, size=(64, 3))
     etas = rng.uniform(-0.5, 0.5, size=64)
     etas[:4] = 0.0
     for field in (FieldSpec(), FieldSpec(zeta=0.5, eta=0.3)):
-        batch = field.velocity_batch(ys, eta=etas)
+        batch = stacked_velocity(field, ys, eta=etas)
         for y, eta, v in zip(ys, etas, batch):
             assert np.array_equal(v, field.with_eta(eta).velocity(y))
         for eta in (0.0, 0.05, -0.7):
             fld = field.with_eta(eta)
             for y in ys:
                 assert np.array_equal(fld.velocity(y),
-                                      fld.velocity_batch(y[None])[0])
+                                      stacked_velocity(fld, y[None])[0])
+
+
+@pytest.mark.parametrize("eta", [0.3, -0.7])
+def test_forcing_is_a_rayleigh_shift(eta):
+    """Forcing at eta along e3 is the unforced field at gamma' = gamma -
+    eta / beta, term for term: dy1 and dy2 do not read gamma, and dy3's
+    constants -beta (gamma + zeta) + eta and -beta (gamma' + zeta) differ
+    only by rounding, a few ulps of the terms of dy3. The bounds: 4 eps
+    (|y1 y2| + beta |y3| + beta (gamma + zeta) + |eta|) per state, and for
+    two solves to t = 5 from (1, 1, -37), the solver's tolerance 1e-10."""
+    forced = FieldSpec(eta=eta)
+    shifted = FieldSpec(gamma=forced.gamma - eta / forced.beta)
+    ys = np.random.default_rng(18).normal(0.0, 20.0, (1000, 3))
+    a, b = forced._terms(*ys.T), shifted._terms(*ys.T)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    y1, y2, y3 = ys.T
+    bound = 4.0 * np.finfo(float).eps * (
+        np.abs(y1 * y2) + forced.beta * (np.abs(y3) + forced.shift)
+        + abs(eta))
+    assert np.all(np.abs(a[2] - b[2]) <= bound)
+    ts = np.linspace(0.0, 5.0, 51)
+    ya = integrate(forced, [1.0, 1.0, -37.0], 5.0, t_eval=ts).y
+    yb = integrate(shifted, [1.0, 1.0, -37.0], 5.0, t_eval=ts).y
+    assert np.max(np.abs(ya - yb)) <= 1e-10
 
 
 def test_casimir_derivatives_match_finite_differences(field):

@@ -160,7 +160,6 @@ def test_ratio_normalization(chain_med):
     assert est.value == 1.0
     assert est.se == 0.0
     assert lifted_measure_probe(chain_med, one, burn_in=100) == 1.0
-    assert est.n_used == len(chain_med.tau) - 100
 
 
 def test_ratio_and_lifted_agree(chain_med):
@@ -223,6 +222,62 @@ def test_ratio_needs_enough_transitions(chain_short):
     cas = lambda y: np.einsum("ij,ij->i", y, y)
     with pytest.raises(DomainError):
         ratio_formula_estimate(cas, chain_short, burn_in=10)
+
+
+def test_negative_burn_in_rejected(chain_med):
+    """A negative burn-in read only the last few sojourns and gave a wrong
+    value with a NaN standard error; both estimators refuse it."""
+    cas = lambda y: np.einsum("ij,ij->i", y, y)
+    with pytest.raises(DomainError, match="burn_in"):
+        ratio_formula_estimate(cas, chain_med, burn_in=-5)
+    with pytest.raises(DomainError, match="burn_in"):
+        lifted_measure_probe(chain_med, cas, burn_in=-5)
+
+
+def test_stationary_identities(chain_med):
+    """For phi = y1^2 / 2 and phi = x3 = y3 + gamma + zeta, the integral of
+    dphi/dt over the used sojourns is phi's change D from x_100 to x_end,
+    so over the used time T
+
+        <y1^2> - <y1 y2> + D / (zeta T) = 0,
+        <y1 y2> - beta <x3> + <eta>_tau - D / T = 0.
+
+    What is left is the trapezoid error of the integrand f on the stored
+    grid. On sojourn n, of step h_n <= 0.01, it is
+    (h_n^2 / 12) (f'(end) - f'(start)) + O(h_n^4) (Euler-Maclaurin), f'
+    the derivative of f along the flow forced at eta_n. Each bound is
+    twice the sum of these leading terms' magnitudes over T, so it needs
+    no cancellation between sojourns; the O(h^4) terms and the grid's
+    Hermite resample error are orders smaller.
+    """
+    burn = 100
+    fld = chain_med.section.field
+    x = np.vstack([chain_med.x[burn:], chain_med.x_end])
+    eta, tau = chain_med.eta[burn:], chain_med.tau[burn:]
+    t_used = float(np.sum(tau))
+    h = tau / (np.diff(chain_med.sojourn_offsets)[burn:] - 1)
+
+    def avg(f):
+        return ratio_formula_estimate(f, chain_med, burn_in=burn).value
+
+    y1y2 = avg(lambda y: y[:, 0] * y[:, 1])
+    residuals = (
+        avg(lambda y: y[:, 0] ** 2) - y1y2
+        + (x[-1, 0] ** 2 - x[0, 0] ** 2) / (2.0 * fld.zeta * t_used),
+        y1y2 - fld.beta * avg(lambda y: y[:, 2] + fld.shift)
+        + float(np.sum(eta * tau)) / t_used - (x[-1, 2] - x[0, 2]) / t_used)
+
+    def rates(y):
+        """f' of both integrands at states y, forced at eta."""
+        v1, v2, v3 = fld._terms(*y.T, eta=eta)
+        y1, y2 = y[:, 0], y[:, 1]
+        return (v1 * (2.0 * y1 - y2) - y1 * v2,
+                v1 * y2 + y1 * v2 - fld.beta * v3)
+
+    for r, start, end in zip(residuals, rates(x[:-1]), rates(x[1:])):
+        bound = 2.0 * float(np.sum(h * h / 12.0 * np.abs(end - start))) \
+            / t_used
+        assert abs(r) <= bound
 
 
 def test_drift_inequality_holds(chain_med):
