@@ -111,15 +111,13 @@ def _hat_values(y: np.ndarray, n_bins: int) -> sparse.csr_matrix:
     u = y * n_bins - 0.5
     k = np.floor(u)
     w = u - k
-    k = k.astype(np.intp)
-    data = np.empty(2 * len(y))
-    data[0::2] = 1.0 - w
-    data[1::2] = w
-    cols = np.empty(2 * len(y), dtype=np.intp)
-    cols[0::2] = np.clip(k, 0, n_bins - 1)
-    cols[1::2] = np.clip(k + 1, 0, n_bins - 1)
-    return sparse.csr_matrix((data, cols, np.arange(0, 2 * len(y) + 1, 2)),
-                             shape=(len(y), n_bins))
+    k = k.astype(np.int32)
+    data = np.column_stack((1.0 - w, w)).ravel()
+    # int32 indices are what csr_matrix would convert int64 ones to, after
+    # scanning them; handing it int32 skips both
+    cols = np.clip(np.column_stack((k, k + 1)), 0, n_bins - 1).ravel()
+    indptr = np.arange(0, 2 * len(y) + 1, 2, dtype=np.int32)
+    return sparse.csr_matrix((data, cols, indptr), shape=(len(y), n_bins))
 
 
 @lru_cache(maxsize=8)
@@ -289,6 +287,22 @@ class StabilityReport:
         return np.array([e.distance for e in self.entries])
 
 
+def _kendall_tau_b(x, y) -> float:
+    """Kendall's tau-b by counting all pairs, in scipy.stats.kendalltau's
+    arithmetic: concordant minus discordant pairs over the roots of the
+    counts of pairs untied in x and in y, clipped to [-1, 1]; NaN when
+    every pair ties in x or in y.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    i, j = np.triu_indices(len(x), 1)
+    sx, sy = np.sign(x[j] - x[i]), np.sign(y[j] - y[i])
+    untied_x, untied_y = np.count_nonzero(sx), np.count_nonzero(sy)
+    if not (untied_x and untied_y):
+        return float("nan")
+    tau = np.sum(sx * sy) / np.sqrt(untied_x) / np.sqrt(untied_y)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 def statistical_stability_experiment(base: SyntheticCuspMap, eps_ladder,
                                      n_bins: int) -> StabilityReport:
     """Invariant-density response of the perturbed family along a ladder.
@@ -297,8 +311,6 @@ def statistical_stability_experiment(base: SyntheticCuspMap, eps_ladder,
     density computed, and the L1 distance to the base density recorded.
     Audit failures flag the entry but do not stop the experiment.
     """
-    from scipy.stats import kendalltau
-
     eps_ladder = [float(e) for e in eps_ladder]
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise DomainError("eps ladder must be strictly decreasing")
@@ -312,9 +324,9 @@ def statistical_stability_experiment(base: SyntheticCuspMap, eps_ladder,
                                       distance=l1_distance(rho, rho_eps),
                                       audit_passed=audit.all_passed))
     dist = [e.distance for e in entries]
-    tau = kendalltau(eps_ladder, dist).statistic if len(dist) > 2 else float("nan")
+    tau = _kendall_tau_b(eps_ladder, dist) if len(dist) > 2 else float("nan")
     monotone = all(b < a for a, b in zip(dist, dist[1:]))
-    return StabilityReport(entries=tuple(entries), kendall_tau=float(tau),
+    return StabilityReport(entries=tuple(entries), kendall_tau=tau,
                            monotone=monotone)
 
 
@@ -342,20 +354,21 @@ def quasi_holder_seminorm(values: np.ndarray, alpha: float,
     sup-norm embedding stays valid). The seminorm is the sup over radii of
     the scaled mean oscillation. values holds one value per bin.
     """
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     if not 0.0 < eps0 <= 0.5:
         raise DomainError("eps0 must lie in (0, 1/2]")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("values must be finite")
     n = len(values)
     best = 0.0
     radius = eps0
     while radius >= 1.0 / n:
         half = int(math.ceil(radius * n)) + 1
-        size = 2 * half + 1
-        osc = (maximum_filter1d(values, size, mode="nearest")
-               - minimum_filter1d(values, size, mode="nearest"))
+        # windows centred on each bin, the ends extended by their edge value
+        win = np.lib.stride_tricks.sliding_window_view(
+            np.pad(values, half, mode="edge"), 2 * half + 1)
+        osc = win.max(axis=1) - win.min(axis=1)
         best = max(best, float(np.sum(osc)) / n / radius ** alpha)
         radius *= 0.5
     return best
@@ -366,13 +379,15 @@ def quasi_holder_norm(values: np.ndarray, alpha: float, eps0: float) -> float:
     return quasi_holder_seminorm(values, alpha, eps0) + _l1(values)
 
 
+@lru_cache(maxsize=8)
 def build_test_dictionary(n_bins: int) -> np.ndarray:
     """Fixed 21-function dictionary, each normalized to quasi-Hoelder norm 1.
 
     Entries: constant; the monomials x, x^2, x^3; (1-x), (1-x)^2; x(1-x);
     three Gaussian bumps at 1/4, 1/2, 3/4; six smoothed step functions with
     cut points k/8 (k = 1..6); three hat functions; sqrt(x) and
-    sqrt(1-x).
+    sqrt(1-x). The dictionary depends only on n_bins, so it is built once
+    per grid and shared read-only.
     """
     x = (np.arange(n_bins) + 0.5) / n_bins
     funcs: list[np.ndarray] = [np.ones(n_bins), x, x ** 2, x ** 3,
@@ -389,6 +404,7 @@ def build_test_dictionary(n_bins: int) -> np.ndarray:
     out = np.empty((len(funcs), n_bins))
     for i, f in enumerate(funcs):
         out[i] = f / quasi_holder_norm(f, _DICT_ALPHA, _DICT_EPS0)
+    out.flags.writeable = False
     return out
 
 

@@ -298,3 +298,13 @@ def test_ode_path_loads_no_scipy():
             "L.integrate(F, y0, 2.0, t_eval=np.linspace(0.0, 2.0, 21)); "
             "L.lyapunov_sweep(50, field=F, seed=1); L.drift_check(tr)")
     assert _scipy_modules(code) == []
+
+
+def test_stability_path_loads_scipy_sparse_only():
+    """The stability experiment and the operator distance load what
+    importing scipy.sparse loads, and no scipy.stats or scipy.ndimage."""
+    code = ("import lorenzlab as L; S = L.SyntheticCuspMap(); "
+            "L.statistical_stability_experiment(S, (0.05, 0.02, 0.01), 64); "
+            "L.operator_distance(L.build_ulam(S, 64), "
+            "L.build_ulam(L.make_perturbed_family(S, 0.02), 64))")
+    assert _scipy_modules(code) == _scipy_modules("import scipy.sparse")

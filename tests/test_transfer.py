@@ -23,6 +23,7 @@ from lorenzlab.transfer import (
     quasi_holder_seminorm,
     stationary_density,
     statistical_stability_experiment,
+    _kendall_tau_b,
     _ulam_senders,
 )
 
@@ -124,6 +125,18 @@ def test_ulam_senders_read_only():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         xs[0] = 0.5
+
+
+def test_test_dictionary_cached_read_only():
+    dic = build_test_dictionary(64)
+    assert not dic.flags.writeable
+    with pytest.raises(ValueError):
+        dic[0, 0] = 0.5
+    assert build_test_dictionary(64) is dic
+    assert build_test_dictionary(80) is not dic
+    build_test_dictionary.cache_clear()
+    fresh = build_test_dictionary(64)
+    assert fresh is not dic and fresh.tobytes() == dic.tobytes()
 
 
 def test_ulam_sender_cache_per_grid(synth):
@@ -236,6 +249,56 @@ def test_quasi_holder_smooth_small():
     # Lipschitz density: oscillation integral is O(eps^2), seminorm
     # sup eps^(1-alpha) * Lip stays below ~ 0.5
     assert quasi_holder_seminorm(d.values, 0.5, 0.125) < 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quasi_holder_rejects_non_finite(bad):
+    vals = np.ones(64)
+    vals[17] = bad
+    with pytest.raises(DomainError):
+        quasi_holder_seminorm(vals, 0.5, 0.125)
+
+
+def _seminorm_ndimage(values, alpha, eps0):
+    """quasi_holder_seminorm's earlier form, on scipy.ndimage's filters."""
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+    n = len(values)
+    best, radius = 0.0, eps0
+    while radius >= 1.0 / n:
+        size = 2 * (int(np.ceil(radius * n)) + 1) + 1
+        osc = (maximum_filter1d(values, size, mode="nearest")
+               - minimum_filter1d(values, size, mode="nearest"))
+        best = max(best, float(np.sum(osc)) / n / radius ** alpha)
+        radius *= 0.5
+    return best
+
+
+@pytest.mark.parametrize("n", [16, 100, 4096])
+def test_quasi_holder_matches_ndimage_filters(n):
+    """Bit for bit, eps0 = 1/2 giving windows wider than n at n = 16."""
+    rng = np.random.default_rng(n)
+    for vals in (rng.normal(size=n), rng.gamma(0.7, size=n),
+                 np.repeat(rng.normal(size=4), n // 4)):
+        for alpha, eps0 in ((0.5, 0.125), (1.0, 0.5), (0.3, 0.01)):
+            assert quasi_holder_seminorm(vals, alpha, eps0) == \
+                _seminorm_ndimage(vals, alpha, eps0)
+
+
+def test_kendall_tau_b_matches_scipy():
+    from scipy.stats import kendalltau
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        xt, yt = rng.integers(0, 3, size=n), rng.integers(0, 4, size=n)
+        for a, b in ((x, y), (xt, y), (x, yt), (xt, yt)):
+            want = kendalltau(a, b).statistic
+            got = _kendall_tau_b(a, b)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+    assert np.isnan(_kendall_tau_b([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+    assert np.isnan(_kendall_tau_b([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
 
 
 def test_sup_norm_embedding():
