@@ -386,8 +386,7 @@ def build_test_dictionary(n_bins: int) -> np.ndarray:
     Entries: constant; the monomials x, x^2, x^3; (1-x), (1-x)^2; x(1-x);
     three Gaussian bumps at 1/4, 1/2, 3/4; six smoothed step functions with
     cut points k/8 (k = 1..6); three hat functions; sqrt(x) and
-    sqrt(1-x). The dictionary depends only on n_bins, so it is built once
-    per grid and shared read-only.
+    sqrt(1-x). Built once per grid and shared read-only.
     """
     x = (np.arange(n_bins) + 0.5) / n_bins
     funcs: list[np.ndarray] = [np.ones(n_bins), x, x ** 2, x ** 3,
