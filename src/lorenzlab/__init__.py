@@ -66,11 +66,11 @@ from .transfer import (
 )
 from .pdmp import (
     DriftReport,
-    PdmpTrajectory,
     drift_check,
     lifted_measure_probe,
     ratio_formula_estimate,
     suspension_conjugation_check,
+    time_average,
 )
 
 __version__ = "0.1.0"

@@ -29,8 +29,8 @@ from .dynamics import FieldSpec, absorption_rate, integrate, lyapunov_sweep
 from .errors import ConfigError
 from .manifest import RunManifest, write_csv, write_json
 from .noise import NoiseLaw
-from .pdmp import _MIN_PROBES, _MIN_USED, PdmpTrajectory, drift_check, \
-    lifted_measure_probe, ratio_formula_estimate, suspension_conjugation_check
+from .pdmp import _MIN_PROBES, _MIN_USED, drift_check, lifted_measure_probe, \
+    ratio_formula_estimate, suspension_conjugation_check, time_average
 from .plotting import Series, emit_plot
 from .section import SectionSpec, sample_chain, settle_on_attractor
 from .transfer import statistical_stability_experiment
@@ -156,17 +156,13 @@ def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
     trace = sample_chain(law, sec, y0, n=cfg.n_transitions, seed=cfg.seed,
                          keep_segments=True)
     horizon = float(trace.sigma[-1] + trace.tau[-1])
-    traj = PdmpTrajectory(trace=trace, t_final=horizon)
 
     one = lambda y: np.ones(len(np.atleast_2d(y)))
-    ta_one = traj.time_average(one)
-    ta_cas = traj.time_average(_casimir_obs)
-    ratio_one = ratio_formula_estimate(one, trace, burn_in=cfg.burn_in)
-    ratio_cas = ratio_formula_estimate(_casimir_obs, trace,
-                                       burn_in=cfg.burn_in)
-    lifted_one = lifted_measure_probe(trace, one, burn_in=cfg.burn_in)
-    lifted_cas = lifted_measure_probe(trace, _casimir_obs,
-                                      burn_in=cfg.burn_in)
+    (ta_one, ratio_one, lifted_one), (ta_cas, ratio_cas, lifted_cas) = (
+        (time_average(f, trace, horizon),
+         ratio_formula_estimate(f, trace, cfg.burn_in),
+         lifted_measure_probe(f, trace, cfg.burn_in))
+        for f in (one, _casimir_obs))
 
     for name, unit in (("time-average", ta_one.value),
                        ("ratio", ratio_one.value), ("lifted", lifted_one)):
@@ -215,7 +211,7 @@ def _run_pdmp(cfg: ExperimentConfig, rdir: Path, man: RunManifest) -> None:
     }
     write_json(rdir / "reports" / "estimates.json", estimates)
 
-    ts, ys = traj.grid()
+    ts, ys = trace.flow_times, trace.flow_y
     step = max(1, len(ts) // 6000)
     emit_plot(Series("C(u_t)", ts[::step], _casimir_obs(ys[::step])),
               "line", rdir / "plots" / "casimir_path.svg",

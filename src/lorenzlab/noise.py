@@ -61,6 +61,8 @@ class NoiseLaw:
     @classmethod
     def discrete(cls, atoms, weights=None, eps: float | None = None) -> "NoiseLaw":
         atoms = tuple(float(a) for a in atoms)
+        if not atoms:
+            raise DomainError("discrete law needs at least one atom")
         if weights is None:
             weights = (1.0 / len(atoms),) * len(atoms)
         weights = tuple(float(w) for w in weights)

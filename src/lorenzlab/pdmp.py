@@ -8,14 +8,14 @@ sojourn-weighted ratio over the embedded chain), a Simpson sum of the
 lifted measure that checks the ratio's trapezoid rule, the drift
 inequality audit for the Casimir Lyapunov function, and a consistency
 check between flowing in the suspension picture and flowing in phase
-space. Observables map (k, 3) states to (k,) values; any other shape
-raises DomainError.
+space. The estimators take (f, trace, t_final or burn_in), f mapping
+(k, 3) states to (k,) values; any other shape raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,49 +85,6 @@ def _simpson_weights(t: np.ndarray, off: np.ndarray) -> np.ndarray:
     return c * np.repeat(h, n + 1)
 
 
-@dataclass
-class PdmpTrajectory:
-    """The trace's stored flow on absolute times, together with its chain.
-
-    A view of the trace's stored flow: the states are the trace's flat
-    flow_y, and the absolute times are flow_t plus each piece's start
-    time. The stored grid has spacing 1e-2 time units; its states are a
-    quintic Hermite resample of the solver's accepted steps
-    (section._sample_segment).
-    """
-
-    trace: MarkovRenewalTrace
-    t_final: float
-    _ts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        tr = self.trace
-        if tr.flow_t is None or not len(tr):
-            raise DomainError("trajectory needs a trace with stored segments "
-                              "and at least one transition")
-        horizon = tr.sigma[-1] + tr.tau[-1]
-        if not 0.0 < self.t_final <= horizon + 1e-12:
-            raise DomainError("t_final must lie within the simulated horizon")
-        starts = tr.sigma if tr.approach_eta is None else \
-            np.append(0.0, tr.sigma)
-        self._ts = tr.flow_t + np.repeat(starts, np.diff(tr.flow_offsets))
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._ts, self.trace.flow_y
-
-    def time_average(self, f) -> "Estimate":
-        """Trapezoidal time average of f up to t_final, with batch-means SE."""
-        cum = np.concatenate(
-            [[0.0], np.cumsum(_trapezoid_terms(f, *self.grid()))])
-        bounds = np.linspace(0.0, self.t_final, _N_BATCHES + 1)
-        cum_at = np.interp(bounds, self._ts, cum)
-        widths = np.diff(bounds)
-        batch_means = np.diff(cum_at) / widths
-        value = float(cum_at[-1]) / self.t_final
-        se = float(np.std(batch_means, ddof=1)) / math.sqrt(_N_BATCHES)
-        return Estimate(value=value, se=se)
-
-
 @dataclass(frozen=True)
 class Estimate:
     """A stationary average and its batch-means standard error."""
@@ -136,20 +93,41 @@ class Estimate:
     se: float
 
 
-def _roofs(trace: MarkovRenewalTrace, start: int) -> np.ndarray:
-    """Sojourn lengths from start on, as the sojourn quadrature of f = 1."""
-    return _sojourn_integrals(lambda y: np.ones(len(y)), trace, start)
+def _batch_se(batch_values: np.ndarray) -> float:
+    """Standard error of a mean from the means of its _N_BATCHES batches."""
+    return float(np.std(batch_values, ddof=1)) / math.sqrt(_N_BATCHES)
 
 
-def _n_used(trace: MarkovRenewalTrace, burn_in: int) -> int:
+def _n_used(trace: MarkovRenewalTrace, burn_in: int,
+            least: int = _MIN_USED) -> int:
+    """The estimators' one trace check: stored segments, and at least
+    `least` transitions after a burn_in >= 0, whose count it returns."""
     if burn_in < 0:
         raise DomainError(f"burn_in must be >= 0, got {burn_in}")
     n_used = len(trace) - burn_in
-    if trace.flow_t is None or n_used < _MIN_USED:
+    if trace.flow_t is None or n_used < least:
         raise DomainError(
             f"stationary estimators need stored segments and at least "
-            f"{_MIN_USED} transitions after burn-in, got {n_used}")
+            f"{least} transitions after burn-in, got {n_used}")
     return n_used
+
+
+def time_average(f, trace: MarkovRenewalTrace, t_final: float) -> Estimate:
+    """Trapezoidal time average of f along the stored flow up to t_final.
+
+    The flow is the trace's flow_y at its flow_times, and the standard
+    error comes from batch means over equal spans of time.
+    """
+    _n_used(trace, 0, least=1)
+    if not 0.0 < t_final <= trace.sigma[-1] + trace.tau[-1] + 1e-12:
+        raise DomainError("t_final must lie within the simulated horizon")
+    ts = trace.flow_times
+    cum = np.concatenate(
+        [[0.0], np.cumsum(_trapezoid_terms(f, ts, trace.flow_y))])
+    bounds = np.linspace(0.0, t_final, _N_BATCHES + 1)
+    cum_at = np.interp(bounds, ts, cum)
+    return Estimate(value=float(cum_at[-1]) / t_final,
+                    se=_batch_se(np.diff(cum_at) / np.diff(bounds)))
 
 
 def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
@@ -164,17 +142,15 @@ def ratio_formula_estimate(f, trace: MarkovRenewalTrace,
     """
     n_used = _n_used(trace, burn_in)
     ints = _sojourn_integrals(f, trace, burn_in)
-    roofs = _roofs(trace, burn_in)
-    num = float(np.mean(ints))
-    den = float(np.mean(roofs))
+    roofs = _sojourn_integrals(lambda y: np.ones(len(y)), trace, burn_in)
     cuts = np.linspace(0, n_used, _N_BATCHES + 1).astype(int)
     ratios = np.array([np.mean(ints[a:b]) / np.mean(roofs[a:b])
                        for a, b in zip(cuts[:-1], cuts[1:])])
-    se = float(np.std(ratios, ddof=1)) / math.sqrt(_N_BATCHES)
-    return Estimate(value=num / den, se=se)
+    return Estimate(value=float(np.mean(ints)) / float(np.mean(roofs)),
+                    se=_batch_se(ratios))
 
 
-def lifted_measure_probe(trace: MarkovRenewalTrace, f,
+def lifted_measure_probe(f, trace: MarkovRenewalTrace,
                          burn_in: int = _DEFAULT_BURN_IN) -> float:
     """Stationary functional through the suspension picture.
 

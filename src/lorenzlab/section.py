@@ -260,6 +260,14 @@ class MarkovRenewalTrace:
         """Offsets of the sojourn pieces: sojourn n spans [o[n], o[n + 1])."""
         return self.flow_offsets[int(self.approach_eta is not None):]
 
+    @property
+    def flow_times(self) -> np.ndarray | None:
+        """Absolute time of each stored state, flow_t plus its piece start."""
+        starts = self.sigma if self.approach_eta is None else \
+            np.append(0.0, self.sigma)
+        return None if self.flow_t is None else \
+            self.flow_t + np.repeat(starts, np.diff(self.flow_offsets))
+
     def _views(self, off, etas) -> list[FlowSegment]:
         return [FlowSegment(self.flow_t[a:b], self.flow_y[a:b], float(eta))
                 for a, b, eta in zip(off[:-1], off[1:], etas)]

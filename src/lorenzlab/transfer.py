@@ -344,6 +344,19 @@ def averaged_transfer_operator(family, law: NoiseLaw,
     return UlamMatrix(matrix=acc.tocsr())
 
 
+def _window_max(a: np.ndarray, w: int) -> np.ndarray:
+    """Max of each length-w window of a in O(len(a)) (van Herk/Gil-Werman):
+    running maxima over blocks of w, from the left and from the right, so
+    window i is the larger of the right run at its first entry and the
+    left run at its last."""
+    b = np.full(-(-len(a) // w) * w, -np.inf)
+    b[:len(a)] = a
+    b = b.reshape(-1, w)
+    left = np.maximum.accumulate(b, axis=1).ravel()
+    right = np.maximum.accumulate(b[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(right[:len(a) - w + 1], left[w - 1:len(a)])
+
+
 def quasi_holder_seminorm(values: np.ndarray, alpha: float,
                           eps0: float) -> float:
     """Discrete oscillation seminorm over dyadic window radii.
@@ -352,12 +365,16 @@ def quasi_holder_seminorm(values: np.ndarray, alpha: float,
     whose half-width rounds the radius up to whole bins (one bin of slack,
     so the discrete window always contains the continuum ball and the
     sup-norm embedding stays valid). The seminorm is the sup over radii of
-    the scaled mean oscillation. values holds one value per bin.
+    the scaled mean oscillation. values holds one value per bin: a
+    non-empty 1-d array of finite numbers.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     if not 0.0 < eps0 <= 0.5:
         raise DomainError("eps0 must lie in (0, 1/2]")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not len(values):
+        raise DomainError("values must be a non-empty 1-d array")
     if not np.all(np.isfinite(values)):
         raise DomainError("values must be finite")
     n = len(values)
@@ -365,10 +382,10 @@ def quasi_holder_seminorm(values: np.ndarray, alpha: float,
     radius = eps0
     while radius >= 1.0 / n:
         half = int(math.ceil(radius * n)) + 1
-        # windows centred on each bin, the ends extended by their edge value
-        win = np.lib.stride_tricks.sliding_window_view(
-            np.pad(values, half, mode="edge"), 2 * half + 1)
-        osc = win.max(axis=1) - win.min(axis=1)
+        # windows centred on each bin, the ends extended by their edge
+        # value; max - min as max + max of the negation, the same bits
+        pad = np.pad(values, half, mode="edge")
+        osc = _window_max(pad, 2 * half + 1) + _window_max(-pad, 2 * half + 1)
         best = max(best, float(np.sum(osc)) / n / radius ** alpha)
         radius *= 0.5
     return best

@@ -99,4 +99,6 @@ def test_validation_errors():
     with pytest.raises(DomainError):
         NoiseLaw.discrete((0.1, 0.2), weights=(0.7, 0.7))
     with pytest.raises(DomainError):
+        NoiseLaw.discrete(())
+    with pytest.raises(DomainError):
         NoiseLaw.trunc_gauss(0.0, 0.05)

@@ -14,44 +14,43 @@ from lorenzlab import (
     ratio_formula_estimate,
     sample_chain,
     suspension_conjugation_check,
+    time_average,
 )
 from lorenzlab import pdmp
 from lorenzlab.dynamics import absorption_constant
 from lorenzlab.errors import DomainError, HorizonExceeded, TangencyWarning
-from lorenzlab.pdmp import PdmpTrajectory
+
+T_NOISY = 40.0  # time the noisy run is viewed up to
 
 
-def _trajectory(law, section, y_start, n, seed, t_final):
-    """Resampled flow of an n-transition chain, viewed up to t_final.
-
-    Each n is the number of transitions after which the chain from
-    y_start at this seed first crosses the section at or past t_final.
+def _run(law, section, y_start, n, seed):
+    """Chain with its resampled flow. Each fixture's n is the number of
+    transitions after which the chain from y_start at this seed first
+    crosses the section at or past the time the fixture is viewed up to.
     """
-    trace = sample_chain(law, section, y_start, n=n, seed=seed,
-                         keep_segments=True)
-    return PdmpTrajectory(trace=trace, t_final=t_final)
+    return sample_chain(law, section, y_start, n=n, seed=seed,
+                        keep_segments=True)
 
 
 @pytest.fixture(scope="module")
-def traj_det(section, y_start):
+def run_det(section, y_start):
     """Deterministic run over ten time units."""
-    return _trajectory(NoiseLaw.delta_zero(), section, y_start, n=13,
-                       seed=0, t_final=10.0)
+    return _run(NoiseLaw.delta_zero(), section, y_start, n=13, seed=0)
 
 
 @pytest.fixture(scope="module")
-def traj_noisy(section, y_start):
-    return _trajectory(NoiseLaw.uniform(0.05), section, y_start, n=52,
-                       seed=3, t_final=40.0)
+def run_noisy(section, y_start):
+    """Forced run over T_NOISY time units."""
+    return _run(NoiseLaw.uniform(0.05), section, y_start, n=52, seed=3)
 
 
-def test_delta_zero_matches_deterministic_flow(section, y_start, traj_det):
+def test_delta_zero_matches_deterministic_flow(section, y_start, run_det):
     """Grid states against one dense deterministic solve.
 
     Both sides run at tol 1e-10, but the flow stretches local error by
     about e^(0.9 t), so parity at T = 10 is a few 1e-6, not 1e-10.
     """
-    ts, ys = traj_det.grid()
+    ts, ys = run_det.flow_times, run_det.flow_y
     # segment junctions can repeat a time up to cumsum rounding
     keep = np.concatenate([[True], np.diff(ts) > 0])
     ref = integrate(section.field, y_start, float(ts[keep][-1]),
@@ -88,17 +87,17 @@ def active_eta(trace, t: float) -> float:
     return float(trace.eta[np.clip(n, 0, len(trace) - 1)])
 
 
-def state(traj, t: float) -> np.ndarray:
-    """State at time t, linearly interpolated on the trajectory's grid."""
-    ts, ys = traj.grid()
+def state(trace, t: float) -> np.ndarray:
+    """State at time t, linearly interpolated on the stored flow."""
+    ts, ys = trace.flow_times, trace.flow_y
     return np.array([np.interp(t, ts, ys[:, i]) for i in range(3)])
 
 
-def test_crossing_bookkeeping(traj_noisy):
-    tr = traj_noisy.trace
+def test_crossing_bookkeeping(run_noisy):
+    tr = run_noisy
     times = crossing_times(tr)
     rng = np.random.default_rng(7)
-    for t in rng.uniform(0.0, traj_noisy.t_final, 100):
+    for t in rng.uniform(0.0, T_NOISY, 100):
         n = n_crossings(tr, t)
         if t < tr.sigma[0]:
             assert n == -1
@@ -113,45 +112,55 @@ def test_crossing_bookkeeping(traj_noisy):
     assert age(tr, t) == pytest.approx(0.1, abs=1e-9)
 
 
-def test_final_count_matches_recorded_crossings(traj_noisy):
-    tr = traj_noisy.trace
-    n_t = n_crossings(tr, traj_noisy.t_final)
-    assert n_t == len(tr.tau) - 1
-    assert crossing_times(tr)[n_t] <= traj_noisy.t_final
+def test_final_count_matches_recorded_crossings(run_noisy):
+    n_t = n_crossings(run_noisy, T_NOISY)
+    assert n_t == len(run_noisy.tau) - 1
+    assert crossing_times(run_noisy)[n_t] <= T_NOISY
 
 
-def test_state_interpolation_continuous(traj_noisy):
-    for t in (traj_noisy.trace.sigma[0], crossing_times(traj_noisy.trace)[5]):
-        before = state(traj_noisy, t - 1e-9)
-        after = state(traj_noisy, t + 1e-9)
+def test_state_interpolation_continuous(run_noisy):
+    for t in (run_noisy.sigma[0], crossing_times(run_noisy)[5]):
+        before = state(run_noisy, t - 1e-9)
+        after = state(run_noisy, t + 1e-9)
         assert np.max(np.abs(after - before)) < 1e-5
 
 
 def test_reproducible_per_seed(section, y_start):
     law = NoiseLaw.uniform(0.05)
-    a = _trajectory(law, section, y_start, n=6, seed=21, t_final=5.0)
-    b = _trajectory(law, section, y_start, n=6, seed=21, t_final=5.0)
-    ta, ya = a.grid()
-    tb, yb = b.grid()
-    np.testing.assert_array_equal(ya, yb)
-    np.testing.assert_array_equal(ta, tb)
-    c = _trajectory(law, section, y_start, n=6, seed=22, t_final=5.0)
-    assert not np.array_equal(a.trace.eta, c.trace.eta)
+    a = _run(law, section, y_start, n=6, seed=21)
+    b = _run(law, section, y_start, n=6, seed=21)
+    np.testing.assert_array_equal(a.flow_y, b.flow_y)
+    np.testing.assert_array_equal(a.flow_times, b.flow_times)
+    c = _run(law, section, y_start, n=6, seed=22)
+    assert not np.array_equal(a.eta, c.eta)
 
 
-def test_time_average_normalization(traj_noisy):
-    est = traj_noisy.time_average(lambda y: np.ones(len(y)))
+def test_time_average_normalization(run_noisy):
+    est = time_average(lambda y: np.ones(len(y)), run_noisy, T_NOISY)
     assert est.value == 1.0
     assert est.se == 0.0
 
 
-def test_observable_of_wrong_shape_rejected(traj_noisy, chain_med):
+def test_time_average_se_is_equal_time_batch_means(run_noisy):
+    """The SE is that of the means over 20 equal spans of [0, T], each
+    read off the running averages at the span ends."""
+    cas = lambda y: np.einsum("ij,ij->i", y, y)
+    ends = np.linspace(0.0, T_NOISY, 21)
+    cum = [0.0] + [b * time_average(cas, run_noisy, b).value for b in ends[1:]]
+    means = np.diff(cum) / np.diff(ends)
+    est = time_average(cas, run_noisy, T_NOISY)
+    assert est.se == pytest.approx(np.std(means, ddof=1) / math.sqrt(20),
+                                   rel=1e-9)
+
+
+def test_observable_of_wrong_shape_rejected(chain_med):
     """An observable maps (k, 3) states to (k,) values, not (k, 1)."""
     column = lambda y: np.einsum("ij,ij->i", y, y)[:, None]
-    with pytest.raises(DomainError, match="observable"):
-        traj_noisy.time_average(column)
-    with pytest.raises(DomainError, match="observable"):
-        ratio_formula_estimate(column, chain_med, burn_in=100)
+    for estimator, arg in ((time_average, float(chain_med.sigma[-1])),
+                           (ratio_formula_estimate, 100),
+                           (lifted_measure_probe, 100)):
+        with pytest.raises(DomainError, match="observable"):
+            estimator(column, chain_med, arg)
 
 
 def test_ratio_normalization(chain_med):
@@ -159,14 +168,14 @@ def test_ratio_normalization(chain_med):
     est = ratio_formula_estimate(one, chain_med, burn_in=100)
     assert est.value == 1.0
     assert est.se == 0.0
-    assert lifted_measure_probe(chain_med, one, burn_in=100) == 1.0
+    assert lifted_measure_probe(one, chain_med, burn_in=100) == 1.0
 
 
 def test_ratio_and_lifted_agree(chain_med):
     """Trapezoid and Simpson on one stored grid agree to 1e-6 relative."""
     cas = lambda y: np.einsum("ij,ij->i", y, y)
     est = ratio_formula_estimate(cas, chain_med, burn_in=100)
-    probe = lifted_measure_probe(chain_med, cas, burn_in=100)
+    probe = lifted_measure_probe(cas, chain_med, burn_in=100)
     assert abs(est.value - probe) <= 1e-6 * abs(est.value)
 
 
@@ -200,10 +209,10 @@ def _drop_last_interval(f, trace, start):
 def test_ratio_lifted_gap_detects_quadrature_fault(chain_med, monkeypatch):
     """The trapezoid losing one interval per sojourn breaks the 1e-6 bound."""
     cas = lambda y: np.einsum("ij,ij->i", y, y)
-    probe = lifted_measure_probe(chain_med, cas, burn_in=100)
+    probe = lifted_measure_probe(cas, chain_med, burn_in=100)
     monkeypatch.setattr(pdmp, "_sojourn_integrals", _drop_last_interval)
     faulty = ratio_formula_estimate(cas, chain_med, burn_in=100)
-    assert lifted_measure_probe(chain_med, cas, burn_in=100) == probe
+    assert lifted_measure_probe(cas, chain_med, burn_in=100) == probe
     assert abs(faulty.value - probe) > 1e-6 * abs(faulty.value)
 
 
@@ -211,9 +220,7 @@ def test_estimator_duality(chain_med):
     """Time average and the renewal ratio estimate the same functional."""
     cas = lambda y: np.einsum("ij,ij->i", y, y)
     ratio = ratio_formula_estimate(cas, chain_med, burn_in=100)
-    direct = PdmpTrajectory(
-        trace=chain_med, t_final=float(chain_med.sigma[-1] * 0.75)
-    ).time_average(cas)
+    direct = time_average(cas, chain_med, float(chain_med.sigma[-1] * 0.75))
     gap = abs(ratio.value - direct.value)
     assert gap < 3.0 * math.hypot(ratio.se, direct.se)
 
@@ -231,7 +238,7 @@ def test_negative_burn_in_rejected(chain_med):
     with pytest.raises(DomainError, match="burn_in"):
         ratio_formula_estimate(cas, chain_med, burn_in=-5)
     with pytest.raises(DomainError, match="burn_in"):
-        lifted_measure_probe(chain_med, cas, burn_in=-5)
+        lifted_measure_probe(cas, chain_med, burn_in=-5)
 
 
 def test_stationary_identities(chain_med):
@@ -372,22 +379,37 @@ def test_conjugation_stops_when_no_probe_qualifies(field, x_on_section):
                                      x_on_section, seed=1, min_crossings=1)
 
 
-def test_grid_is_a_view_of_the_trace(traj_noisy):
-    ts, ys = traj_noisy.grid()
-    assert np.shares_memory(ys, traj_noisy.trace.flow_y)
-    assert len(ts) == len(traj_noisy.trace.flow_t)
+def test_grid_is_a_view_of_the_trace(run_noisy):
+    """The time average reads the trace's own states, one time per state."""
+    seen = []
+
+    def one(y):
+        seen.append(y)
+        return np.ones(len(y))
+
+    time_average(one, run_noisy, T_NOISY)
+    assert seen[0] is run_noisy.flow_y
+    assert len(run_noisy.flow_times) == len(run_noisy.flow_t)
 
 
-def test_trajectory_validation(chain_short, field, y_start):
-    with pytest.raises(DomainError):
-        PdmpTrajectory(trace=chain_short, t_final=-1.0)
+def test_trajectory_validation(chain_short):
+    """t_final must lie in (0, horizon]."""
     horizon = float(chain_short.sigma[-1] + chain_short.tau[-1])
-    with pytest.raises(DomainError):
-        PdmpTrajectory(trace=chain_short, t_final=horizon + 5.0)
-    # the partial trace of a failed approach holds no transition
+    cas = lambda y: np.einsum("ij,ij->i", y, y)
+    for t_final in (-1.0, 0.0, horizon + 5.0, math.nan):
+        with pytest.raises(DomainError, match="t_final"):
+            time_average(cas, chain_short, t_final)
+
+
+@pytest.mark.parametrize("estimator, arg", [
+    pytest.param(f, arg, id=f.__name__) for f, arg in (
+        (time_average, 0.01), (ratio_formula_estimate, 0),
+        (lifted_measure_probe, 0))])
+def test_trace_without_transition_rejected(estimator, arg, field, y_start):
+    """The partial trace of a failed approach holds no transition."""
     short = SectionSpec(field, eps_box=25.0, t_max=0.05)
     with pytest.raises(HorizonExceeded) as err:
         sample_chain(NoiseLaw.delta_zero(), short, y_start, n=5, seed=0,
                      keep_segments=True)
-    with pytest.raises(DomainError, match="at least one transition"):
-        PdmpTrajectory(trace=err.value.partial, t_final=0.01)
+    with pytest.raises(DomainError, match="stored segments and at least"):
+        estimator(lambda y: np.ones(len(y)), err.value.partial, arg)

@@ -139,6 +139,7 @@ def test_storage_does_not_touch_the_chain(section, x_on_section,
     bare = sample_chain(chain_short.law, section, x_on_section,
                         n=len(chain_short), seed=chain_short.seed)
     assert bare.flow_t is None
+    assert bare.flow_times is None
     for name in ("x", "tau", "sigma", "casimir", "tangent", "x_end"):
         np.testing.assert_array_equal(getattr(bare, name),
                                       getattr(chain_short, name))
@@ -205,6 +206,10 @@ def test_off_section_start_records_approach(section, y_start):
     assert tr.approach is not None
     np.testing.assert_allclose(tr.approach.y[-1], tr.x[0], atol=1e-9)
     assert tr.approach.t[-1] == pytest.approx(tr.sigma[0], abs=1e-9)
+    # absolute times: the approach from 0, each sojourn from its crossing
+    assert tr.flow_times[0] == 0.0
+    np.testing.assert_array_equal(tr.flow_times[tr.sojourn_offsets[:-1]],
+                                  tr.sigma)
 
 
 def test_bad_start_rejected(field, x_on_section):

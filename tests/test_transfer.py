@@ -251,10 +251,20 @@ def test_quasi_holder_smooth_small():
     assert quasi_holder_seminorm(d.values, 0.5, 0.125) < 1.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_quasi_holder_rejects_non_finite(bad):
+def _ones_with(bad):
     vals = np.ones(64)
     vals[17] = bad
+    return vals
+
+
+@pytest.mark.parametrize("vals", [
+    *(pytest.param(_ones_with(bad), id=str(bad))
+      for bad in (np.nan, np.inf, -np.inf)),
+    pytest.param(np.empty(0), id="empty"),
+    pytest.param(np.ones((8, 8)), id="2-d")])
+def test_quasi_holder_rejects_non_finite(vals):
+    """Non-finite values, an empty array (a ZeroDivisionError before) and
+    a 2-d array (which read 0.0 before) are all refused."""
     with pytest.raises(DomainError):
         quasi_holder_seminorm(vals, 0.5, 0.125)
 
